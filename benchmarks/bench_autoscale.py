@@ -77,7 +77,7 @@ def reference_policy() -> AutoscalePolicy:
     would scale them with its own model latencies.
     """
     return AutoscalePolicy(
-        template=NodeSpec(name="auto", cpu=THREADRIPPER_3990X),
+        template=NodeSpec(name="auto", device=THREADRIPPER_3990X),
         min_nodes=2, max_nodes=4,
         tick_s=0.015, warmup_s=0.03, cooldown_s=0.06,
         up_pressure=0.45, down_pressure=0.20,

@@ -1,15 +1,15 @@
 """Fleet-level experiment drivers: load sweeps and capacity searches.
 
-The cluster analogues of :mod:`repro.serving.experiments`, riding on the
-same worker-pool layer: every offered-load point is an independent fleet
-simulation, so a sweep fans points out over ``fork``-ed workers (the
-compiled stack travels by copy-on-write, never pickled) and falls back
-to the serial in-process path on platforms without ``fork``.
+The cluster analogues of :mod:`repro.serving.experiments`, on the same
+machinery: every offered-load point is an independent fleet simulation
+run through :func:`repro.parallel.sweep` (``fork``-ed workers inherit
+the compiled stack by copy-on-write, never pickled; platforms without
+``fork`` take the serial in-process path), with the same pre-fork
+warm-up and the same capacity bisection.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from repro.cluster.admission import AdmissionPolicy
@@ -17,39 +17,26 @@ from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.fleet import Cluster
 from repro.cluster.metrics import ClusterReport
 from repro.cluster.spec import ClusterSpec
-from repro.serving.experiments import fork_worker_pool
-from repro.serving.metrics import max_qps_at_satisfaction
+from repro.parallel import point_pool, sweep
+from repro.serving.experiments import bisect_capacity, warm_stack
 from repro.serving.server import ServingStack
 from repro.workloads.scenario import resolve_scenario
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-)
-
-#: Sweep description inherited by fork()-ed workers, exactly like
-#: ``repro.serving.experiments._SWEEP_STATE``.
-_CLUSTER_STATE: tuple | None = None
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 
-def _run_cluster_point(stack: ServingStack, cluster_spec: ClusterSpec,
-                       router: str, admission: AdmissionPolicy | None,
-                       spec: WorkloadSpec, qps: float, count: int,
-                       seed: int | None, scenario=None) -> ClusterReport:
-    """Simulate one fleet offered-load point and roll it up."""
-    cluster = Cluster(stack, cluster_spec, router=router,
-                      admission=admission)
-    return cluster.report(spec, qps, count, seed=seed, scenario=scenario)
+def _point(stack: ServingStack, cluster_spec: ClusterSpec, router: str,
+           admission: AdmissionPolicy | None, spec: WorkloadSpec,
+           count: int, seed: int | None, scenario):
+    """The fleet point function: offered QPS -> ClusterReport."""
+    def run(qps: float) -> ClusterReport:
+        cluster = Cluster(stack, cluster_spec, router=router,
+                          admission=admission)
+        return cluster.report(spec, qps, count, seed=seed,
+                              scenario=scenario)
+
+    return run
 
 
-def _cluster_worker(qps: float) -> ClusterReport:
-    (stack, cluster_spec, router, admission, spec, count, seed,
-     scenario) = _CLUSTER_STATE
-    return _run_cluster_point(stack, cluster_spec, router, admission,
-                              spec, qps, count, seed, scenario)
-
-
-@contextlib.contextmanager
 def cluster_sweep_pool(stack: ServingStack, cluster_spec: ClusterSpec,
                        spec: WorkloadSpec, count: int,
                        router: str = "pressure_aware",
@@ -59,33 +46,16 @@ def cluster_sweep_pool(stack: ServingStack, cluster_spec: ClusterSpec,
     """A persistent fork pool for *repeated* sweeps of one fleet scenario.
 
     The cluster twin of :func:`repro.serving.experiments.sweep_pool`,
-    with the same rationale: workers survive across
+    with the same rationale and contract: workers survive across
     :func:`sweep_cluster_qps` calls so their copy-on-write pricing
-    caches stay warm from one capacity-search round to the next.  Pool
-    lifecycle and the fail-soft contract (``None`` on platforms without
-    ``fork``, which the sweep treats as the serial path) are shared
-    with the serving layer via :func:`fork_worker_pool`.
+    caches stay warm from one capacity-search round to the next, and
+    the pool yields ``None`` (the serial path) on platforms without
+    ``fork``.
     """
-    global _CLUSTER_STATE
-    scenario = resolve_scenario(scenario)
-    # Warm the lazily built artifacts and per-device runtimes before
-    # forking so children inherit the compiled models, scheduling
-    # profiles, cost models, and proxies by copy-on-write instead of
-    # each rebuilding them privately.
-    stack.ensure_compiled()
-    for name in stack.model_names:
-        _ = stack.profiles[name]
-    for device in cluster_spec.device_specs:
-        stack.runtime_for(device)
-    _CLUSTER_STATE = (stack, cluster_spec, router, admission, spec,
-                      count, seed, scenario)
-    try:
-        with fork_worker_pool(workers) as pool:
-            if pool is not None:
-                pool._repro_cluster_state = _CLUSTER_STATE
-            yield pool
-    finally:
-        _CLUSTER_STATE = None
+    key = (stack, cluster_spec, router, admission, spec, count, seed,
+           resolve_scenario(scenario))
+    return point_pool(_point(*key), workers, key=key, warm=lambda:
+                      warm_stack(stack, cluster_spec.device_specs))
 
 
 def sweep_cluster_qps(stack: ServingStack, cluster_spec: ClusterSpec,
@@ -103,42 +73,11 @@ def sweep_cluster_qps(stack: ServingStack, cluster_spec: ClusterSpec,
     :func:`cluster_sweep_pool` passed as ``pool`` reuses warm workers
     across calls (its baked-in scenario must match these arguments).
     """
-    qps_list = [float(qps) for qps in qps_values]
-    if not qps_list:
-        return []
-    scenario = resolve_scenario(scenario)
-    if pool is not None:
-        baked = getattr(pool, "_repro_cluster_state", None)
-        if baked != (stack, cluster_spec, router, admission, spec, count,
-                     seed, scenario):
-            raise ValueError(
-                "pool was created for a different fleet scenario; build "
-                "it with cluster_sweep_pool(...) using these same "
-                "arguments")
-        try:
-            return pool.map(_cluster_worker, qps_list)
-        except OSError:
-            # Worker/pipe died mid-run: recompute this batch serially
-            # rather than aborting the capacity search.
-            return [_run_cluster_point(stack, cluster_spec, router,
-                                       admission, spec, qps, count, seed,
-                                       scenario)
-                    for qps in qps_list]
-    requested = 1 if workers is None else max(1, int(workers))
-    requested = min(requested, len(qps_list))
-    if requested > 1:
-        with cluster_sweep_pool(stack, cluster_spec, spec, count,
-                                router=router, admission=admission,
-                                seed=seed, workers=requested,
-                                scenario=scenario) as ephemeral:
-            if ephemeral is not None:
-                try:
-                    return ephemeral.map(_cluster_worker, qps_list)
-                except OSError:
-                    pass  # worker/pipe died mid-run: recompute serially
-    return [_run_cluster_point(stack, cluster_spec, router, admission,
-                               spec, qps, count, seed, scenario)
-            for qps in qps_list]
+    key = (stack, cluster_spec, router, admission, spec, count, seed,
+           resolve_scenario(scenario))
+    return sweep(_point(*key), [float(qps) for qps in qps_values],
+                 workers=workers, pool=pool, key=key,
+                 warm=lambda: warm_stack(stack, cluster_spec.device_specs))
 
 
 @dataclass(frozen=True)
@@ -172,51 +111,6 @@ class AutoscalePoint:
         return self.autoscaled.node_seconds / self.static.node_seconds
 
 
-#: Autoscale sweep description inherited by fork()-ed workers.
-_AUTOSCALE_STATE: tuple | None = None
-
-
-def _run_autoscale_point(stack: ServingStack, static_spec: ClusterSpec,
-                         initial_spec: ClusterSpec,
-                         policy: AutoscalePolicy, router: str,
-                         admission: AdmissionPolicy | None,
-                         spec: WorkloadSpec, scenario, qps: float,
-                         count: int, seed: int | None) -> AutoscalePoint:
-    """Serve one identical stream through both fleets, pair the reports.
-
-    Engines mutate queries, so each fleet gets its own regeneration of
-    the same seeded stream (bit-identical arrivals and model draws).
-    """
-    scenario = resolve_scenario(scenario)
-    effective_seed = stack.seed if seed is None else seed
-    scenario_name = scenario.name if scenario is not None else "poisson"
-
-    def stream():
-        if scenario is not None:
-            return scenario_queries(stack.compiled, scenario, qps, count,
-                                    seed=effective_seed, spec=spec)
-        return poisson_queries(stack.compiled, spec, qps, count,
-                               seed=effective_seed)
-
-    static = Cluster(stack, static_spec, router=router,
-                     admission=admission).serve(stream(), offered_qps=qps)
-    autoscaled = Cluster(stack, initial_spec, router=router,
-                         admission=admission,
-                         autoscale=policy).serve(stream(),
-                                                 offered_qps=qps)
-    return AutoscalePoint(scenario=scenario_name, qps=qps, static=static,
-                          autoscaled=autoscaled)
-
-
-def _autoscale_worker(point: tuple) -> AutoscalePoint:
-    (stack, static_spec, initial_spec, policy, router, admission,
-     spec, count, seed) = _AUTOSCALE_STATE
-    scenario, qps = point
-    return _run_autoscale_point(stack, static_spec, initial_spec, policy,
-                                router, admission, spec, scenario, qps,
-                                count, seed)
-
-
 def sweep_autoscale(stack: ServingStack, static_spec: ClusterSpec,
                     initial_spec: ClusterSpec, policy: AutoscalePolicy,
                     spec: WorkloadSpec,
@@ -236,37 +130,37 @@ def sweep_autoscale(stack: ServingStack, static_spec: ClusterSpec,
     """
     cells = [(resolve_scenario(scenario), float(qps))
              for scenario, qps in points]
-    if not cells:
-        return []
-    requested = 1 if workers is None else max(1, int(workers))
-    requested = min(requested, len(cells))
-    if requested > 1:
-        global _AUTOSCALE_STATE
-        stack.ensure_compiled()
-        for name in stack.model_names:
-            _ = stack.profiles[name]
-        # dict.fromkeys, not set(): stable first-seen dedup order, so
-        # runtimes warm (and the stack's runtime map fills) in the same
-        # order every run regardless of PYTHONHASHSEED.
-        for device in dict.fromkeys(initial_spec.device_specs
-                                    + static_spec.device_specs
-                                    + (policy.template.device,)):
-            stack.runtime_for(device)
-        _AUTOSCALE_STATE = (stack, static_spec, initial_spec, policy,
-                            router, admission, spec, count, seed)
-        try:
-            with fork_worker_pool(requested) as pool:
-                if pool is not None:
-                    try:
-                        return pool.map(_autoscale_worker, cells)
-                    except OSError:
-                        pass  # worker/pipe died: recompute serially
-        finally:
-            _AUTOSCALE_STATE = None
-    return [_run_autoscale_point(stack, static_spec, initial_spec, policy,
-                                 router, admission, spec, scenario, qps,
-                                 count, seed)
-            for scenario, qps in cells]
+
+    def run(cell: tuple) -> AutoscalePoint:
+        # Engines mutate queries, so each fleet gets its own
+        # regeneration of the same seeded stream (bit-identical arrivals
+        # and model draws).
+        scenario, qps = cell
+
+        def stream():
+            return scenario_queries(
+                stack.compiled, scenario, qps, count,
+                seed=stack.seed if seed is None else seed, spec=spec)
+
+        static = Cluster(stack, static_spec, router=router,
+                         admission=admission).serve(stream(),
+                                                    offered_qps=qps)
+        autoscaled = Cluster(stack, initial_spec, router=router,
+                             admission=admission,
+                             autoscale=policy).serve(stream(),
+                                                     offered_qps=qps)
+        return AutoscalePoint(
+            scenario=scenario.name if scenario is not None else "poisson",
+            qps=qps, static=static, autoscaled=autoscaled)
+
+    # dict.fromkeys, not set(): stable first-seen dedup order, so
+    # runtimes warm (and the stack's runtime map fills) in the same
+    # order every run regardless of PYTHONHASHSEED.
+    devices = tuple(dict.fromkeys(initial_spec.device_specs
+                                  + static_spec.device_specs
+                                  + (policy.template.device,)))
+    return sweep(run, cells, workers=workers,
+                 warm=lambda: warm_stack(stack, devices))
 
 
 @dataclass(frozen=True)
@@ -294,34 +188,17 @@ def cluster_capacity(stack: ServingStack, cluster_spec: ClusterSpec,
 
     The fleet version of the paper's Fig. 12 metric: shed queries count
     as QoS violations, so admission control cannot buy capacity by
-    rejecting its way to a clean satisfaction rate.  ``workers > 1``
-    batches each bisection round's probes across one persistent
-    :func:`cluster_sweep_pool`, so worker pricing caches stay warm
-    across rounds.
+    rejecting its way to a clean satisfaction rate.  The bisection is
+    :func:`repro.serving.experiments.bisect_capacity`: ``workers > 1``
+    batches each round's probes across one persistent pool, so worker
+    pricing caches stay warm across rounds.
     """
-    batch = 1 if workers is None else max(1, int(workers))
-    scenario = resolve_scenario(scenario)
-
-    def search(pool) -> tuple[float, ClusterReport]:
-        def run_batch(qps_values: list[float]) -> list[ClusterReport]:
-            return sweep_cluster_qps(stack, cluster_spec, spec,
-                                     qps_values, count, router=router,
-                                     admission=admission, seed=seed,
-                                     pool=pool, scenario=scenario)
-
-        return max_qps_at_satisfaction(
-            run_batch=run_batch, batch=batch, target=target,
-            low_qps=low_qps, high_qps=high_qps,
-            tolerance_qps=tolerance_qps)
-
-    if batch > 1:
-        with cluster_sweep_pool(stack, cluster_spec, spec, count,
-                                router=router, admission=admission,
-                                seed=seed, workers=batch,
-                                scenario=scenario) as pool:
-            qps, report = search(pool)
-    else:
-        qps, report = search(None)
+    point = _point(stack, cluster_spec, router, admission, spec, count,
+                   seed, resolve_scenario(scenario))
+    qps, report = bisect_capacity(
+        point, workers, lambda: warm_stack(stack, cluster_spec.device_specs),
+        target=target, low_qps=low_qps, high_qps=high_qps,
+        tolerance_qps=tolerance_qps)
     return ClusterCapacityResult(router=router, cluster=cluster_spec.name,
                                  workload=spec.name, qps=qps,
                                  report=report)

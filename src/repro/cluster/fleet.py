@@ -12,6 +12,15 @@ into that node's event loop (:meth:`Engine.submit`) — so routing
 decisions see exactly the node states a real front-end would observe at
 that moment, not a post-hoc assignment.
 
+Request-model streams run through the same loop with a
+:class:`~repro.workloads.requests.RequestDriver` attached: a completion
+may then hand a pipeline stage off or issue a tenant's next request at
+its own instant, so the loop steps causally — no node runs past its
+next event while an offer could still land before it.  A single node is
+a fleet of one: :meth:`ServingStack.run_stream
+<repro.serving.server.ServingStack.run_stream>` is a one-node
+``round_robin`` serve.
+
 Fleet membership is dynamic: with an
 :class:`~repro.cluster.autoscale.AutoscalePolicy` the serve loop
 interleaves control ticks into the offer heap, provisions nodes from
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import replace
 
 from repro.cluster.admission import (
     ADMIT,
@@ -60,11 +70,8 @@ from repro.runtime.tasks import Query
 from repro.telemetry.tracer import FLEET_SIGNAL_FIELDS
 from repro.serving.metrics import summarize
 from repro.serving.server import ServingStack
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-)
+from repro.serving.workload import WorkloadSpec, scenario_queries
+from repro.workloads.requests import RequestDriver, RequestStream
 
 #: Serve-loop event kinds (never compared: sequence numbers are unique).
 _OFFER = "offer"
@@ -78,18 +85,20 @@ class ClusterNode:
     ``tracer`` (a :class:`repro.telemetry.Tracer`) is bound to the
     node's name, so this node's block/query spans and scheduler events
     land in the shared fleet stream already stamped with the node.
+    ``on_complete`` is the engine's completion hook (the request
+    driver's, during a request-model serve).
     """
 
     def __init__(self, index: int, spec: NodeSpec, stack: ServingStack,
-                 incremental: bool = True, tracer=None) -> None:
+                 tracer=None, on_complete=None) -> None:
         self.index = index
         self.spec = spec
         self.runtime = stack.runtime_for(spec.device)
         self.engine = Engine(self.runtime.cost_model,
                              price_cache=self.runtime.price_cache,
-                             incremental=incremental,
                              tracer=(tracer.bind(spec.name)
-                                     if tracer is not None else None))
+                                     if tracer is not None else None),
+                             on_complete=on_complete)
         self.scheduler = stack.make_scheduler(spec.policy,
                                               runtime=self.runtime)
         self.engine.begin([], self.scheduler)
@@ -100,7 +109,6 @@ class ClusterNode:
         #: warming -> live -> draining -> retired.
         self.state = LIVE
         self.provisioned_s = 0.0
-        self.joined_s: float | None = None
         self.drain_started_s: float | None = None
         self.retired_s: float | None = None
         #: Completions already fed to the autoscale SLO window.
@@ -118,18 +126,6 @@ class ClusterNode:
     @property
     def device_kind(self) -> str:
         return self.spec.device_kind
-
-    @property
-    def node_seconds(self) -> float:
-        """Provision-to-retire span — what this node's capacity cost.
-
-        Warm-up counts (capacity is paid for from the moment it is
-        requested); zero until the run's end-of-serve bookkeeping has
-        stamped ``retired_s``.
-        """
-        if self.retired_s is None:
-            return 0.0
-        return max(0.0, self.retired_s - self.provisioned_s)
 
     def pressure_estimate(self) -> float:
         """This node's interference estimate — the routing signal.
@@ -157,14 +153,12 @@ class Cluster:
     def __init__(self, stack: ServingStack, spec: ClusterSpec,
                  router: str | Router = "pressure_aware",
                  admission: AdmissionPolicy | None = None,
-                 autoscale: AutoscalePolicy | None = None,
-                 incremental: bool = True) -> None:
+                 autoscale: AutoscalePolicy | None = None) -> None:
         self.stack = stack
         self.spec = spec
         self.router = router
         self.admission = admission
         self.autoscale = autoscale
-        self.incremental = incremental
         #: Every node of the most recent :meth:`serve`, in provision
         #: order, retired ones included (debugging handle).
         self.last_nodes: list[ClusterNode] | None = None
@@ -175,38 +169,11 @@ class Cluster:
         #: included.  ``record_trace(cluster.last_offered, ...)``
         #: captures a feedback-shaped stream for open-loop replay.
         self.last_offered: list[Query] | None = None
-        #: Completion hook installed on node engines while a
-        #: request-model serve is in flight (None otherwise); kept on
-        #: the instance so autoscale-provisioned nodes get it too.
-        self._stream_hook = None
-
-    def _build_nodes(self, tracer=None) -> list[ClusterNode]:
-        return [ClusterNode(index, node_spec, self.stack,
-                            incremental=self.incremental, tracer=tracer)
-                for index, node_spec in enumerate(self.spec.nodes)]
 
     def _build_router(self) -> Router:
         if isinstance(self.router, Router):
             return self.router
         return make_router(self.router)
-
-    def _provision(self, all_nodes: list[ClusterNode], name: str,
-                   now: float, tracer=None) -> ClusterNode:
-        """A warming node from the autoscale template, joined later.
-
-        Reuses ``stack.runtime_for`` + the artifact store contract:
-        spin-up re-profiles for the template's device (memoised after
-        the first node of a width) but never recompiles.
-        """
-        spec = NodeSpec(name=name, device=self.autoscale.template.device,
-                        policy=self.autoscale.template.policy)
-        node = ClusterNode(len(all_nodes), spec, self.stack,
-                           incremental=self.incremental, tracer=tracer)
-        node.engine.on_complete = self._stream_hook
-        node.state = WARMING
-        node.provisioned_s = now
-        all_nodes.append(node)
-        return node
 
     @staticmethod
     def _retire_time(node: ClusterNode) -> float:
@@ -219,20 +186,10 @@ class Cluster:
         return retired
 
     @classmethod
-    def _retire(cls, node: ClusterNode, routable: list[ClusterNode],
-                timeline: list[ScalingEvent]) -> None:
-        """Mark a drained node retired at its actual last-finish time."""
-        node.retired_s = cls._retire_time(node)
-        node.state = RETIRED
-        timeline.append(ScalingEvent(
-            time_s=node.retired_s, action=RETIRE, node=node.spec.name,
-            live_nodes=len(routable)))
-
-    @classmethod
     def _retire_drained(cls, all_nodes: list[ClusterNode],
                         routable: list[ClusterNode],
                         timeline: list[ScalingEvent]) -> None:
-        """Retire every emptied draining node, in retire-time order.
+        """Retire every emptied draining node at its actual last finish.
 
         Concurrently draining nodes empty at their own last-finish
         instants; retiring them in node-index order would stamp the
@@ -243,7 +200,11 @@ class Cluster:
                    and node.engine.outstanding == 0]
         emptied.sort(key=lambda node: (cls._retire_time(node), node.index))
         for node in emptied:
-            cls._retire(node, routable, timeline)
+            node.retired_s = cls._retire_time(node)
+            node.state = RETIRED
+            timeline.append(ScalingEvent(
+                time_s=node.retired_s, action=RETIRE, node=node.spec.name,
+                live_nodes=len(routable)))
 
     def serve(self, queries: list[Query],
               offered_qps: float | None = None,
@@ -257,9 +218,11 @@ class Cluster:
         per-tick ``fleet.signals`` counters.  Observational only — the
         rollup is bit-identical with tracing on or off.
         """
-        return self._serve(queries, offered_qps=offered_qps, tracer=tracer)
+        return self.serve_stream(RequestStream(queries=queries),
+                                 offered_qps, tracer)
 
-    def serve_stream(self, stream, offered_qps: float | None = None,
+    def serve_stream(self, stream: RequestStream,
+                     offered_qps: float | None = None,
                      tracer=None) -> ClusterReport:
         """Serve a :class:`repro.workloads.RequestStream` fleet-wide.
 
@@ -270,34 +233,43 @@ class Cluster:
         stage re-offers as usual; a *shed* stage fails the whole
         pipeline's QoS and no later stage runs.  The returned report
         carries :attr:`ClusterReport.pipelines` /
-        :attr:`ClusterReport.sessions` rollups.
+        :attr:`ClusterReport.sessions` rollups.  A stream holding only
+        plain ``queries`` serves exactly like :meth:`serve`.
         """
-        initial: list[Query] = list(stream.queries)
-        # Stage queries key by (pipeline id, stage index) — unique per
-        # stage and stable across runs, unlike object identity.
-        stage_owner: dict[tuple[int, int], object] = {}
-        for pipeline in stream.pipelines:
-            first = pipeline.stages[0]
-            stage_owner[(first.query_id, first.stage)] = pipeline
-            initial.append(first)
-        for tenant in stream.tenants:
-            initial.extend(tenant.initial_requests())
-        return self._serve(initial, offered_qps=offered_qps, tracer=tracer,
-                           stream=stream, stage_owner=stage_owner)
+        seq = itertools.count()
+        #: The serve heap: offers (deferred queries re-pushed at their
+        #: re-offer instant with the attempt count bumped, request
+        #: follow-ups pushed by the driver), autoscale control ticks and
+        #: node-join events.
+        events: list = []
+        #: Offers not yet resolved.
+        pending = 0
 
-    def _serve(self, queries: list[Query],
-               offered_qps: float | None = None,
-               tracer=None, stream=None,
-               stage_owner: dict[tuple[int, int], object] | None = None
-               ) -> ClusterReport:
+        def offer(query: Query, at: float, attempts: int = 0) -> None:
+            nonlocal pending
+            heapq.heappush(events, (at, next(seq), _OFFER,
+                                    (attempts, query)))
+            pending += 1
+
+        driver = RequestDriver(
+            stream, lambda query: offer(query, query.arrival_s), tracer)
+        queries = list(driver.issued)
         if not queries:
             raise ValueError("cannot serve an empty stream")
-        interactive = stream is not None and stream.interactive
-        stage_owner = stage_owner if stage_owner is not None else {}
-        tenants_by_session = (
-            {tenant.session: tenant for tenant in stream.tenants}
-            if stream is not None else {})
-        nodes = self._build_nodes(tracer)
+        for query in sorted(queries, key=lambda q: (q.arrival_s,
+                                                     q.query_id)):
+            offer(query, query.arrival_s)
+        # Only pipelines and tenants turn completions into new offers.
+        hook = driver.on_complete if stream.interactive else None
+
+        def build_node(index: int, spec: NodeSpec) -> ClusterNode:
+            return ClusterNode(index, spec, self.stack, tracer=tracer,
+                               on_complete=hook)
+
+        #: Every node ever provisioned, in provision order (ascending
+        #: ``index``); membership state lives on the nodes.
+        all_nodes = [build_node(index, spec)
+                     for index, spec in enumerate(self.spec.nodes)]
         router = self._build_router()
         #: Score-based routers publish per-node scores when this is set.
         router.tracer = tracer
@@ -307,116 +279,56 @@ class Cluster:
                   if self.autoscale is not None else None)
 
         start_s = min(query.arrival_s for query in queries)
-        for node in nodes:
+        for node in all_nodes:
             node.provisioned_s = start_s
-            node.joined_s = start_s
-        #: Every node ever provisioned, in provision order (ascending
-        #: ``index``); membership state lives on the nodes.
-        all_nodes = list(nodes)
         #: The routing set: live nodes, ascending index (provisioned
         #: nodes join strictly after every earlier join).
-        routable = list(nodes)
+        routable = list(all_nodes)
         timeline: list[ScalingEvent] = []
         peak_live = len(routable)
         auto_names = itertools.count(1)
-
-        # Event heap: offers seeded with every arrival (deferred queries
-        # re-pushed at their re-offer instant with the attempt count
-        # bumped), plus autoscale control ticks and node-join events.
-        seq = itertools.count()
-        events = [(query.arrival_s, next(seq), _OFFER, (0, query))
-                  for query in sorted(queries,
-                                      key=lambda q: (q.arrival_s,
-                                                     q.query_id))]
-        heapq.heapify(events)
-        #: Offers not yet resolved; a one-slot holder so the completion
-        #: hook below can add follow-up offers mid-flight.
-        pending = [len(events)]
-        #: Every stage-level query ever offered, in offer order.
-        offered_log = list(queries)
         if scaler is not None:
             heapq.heappush(events, (start_s + self.autoscale.tick_s,
                                     next(seq), _TICK, None))
         shed: list[Query] = []
         last_advance = float("-inf")
 
-        def offer(query: Query, at: float) -> None:
-            """Push a hook-generated offer into the serve heap."""
-            offered_log.append(query)
-            heapq.heappush(events, (at, next(seq), _OFFER, (0, query)))
-            pending[0] += 1
-
-        def stream_hook(engine: Engine, query: Query) -> None:
-            """Completion seam: pipeline hand-off + closed-loop issue.
-
-            Fires inside a node engine's drive loop; ``engine.now`` is
-            the completion instant.  New offers go through the *serve*
-            heap — admission and routing see them like any arrival.
-            """
-            owner = stage_owner.pop((query.query_id, query.stage), None) \
-                if query.stage is not None else None
-            if owner is not None:
-                owner.next_stage = query.stage + 1
-                if owner.next_stage >= len(owner.stages):
-                    owner.finished_s = engine.now
-                else:
-                    nxt = owner.stages[owner.next_stage]
-                    nxt.arrival_s = engine.now
-                    stage_owner[(nxt.query_id, nxt.stage)] = owner
-                    offer(nxt, engine.now)
-                return
-            if query.session is not None:
-                tenant = tenants_by_session.get(query.session)
-                if tenant is not None:
-                    tenant.observe(query)
-                    follow = tenant.next_request(engine.now)
-                    if follow is not None:
-                        offer(follow, follow.arrival_s)
-
-        self._stream_hook = stream_hook if interactive else None
-        if interactive:
-            for node in nodes:
-                node.engine.on_complete = stream_hook
+        def advance(to: float) -> None:
+            """Drive every node that still has or may get work to ``to``."""
+            nonlocal last_advance
+            for node in all_nodes:
+                if node.state != RETIRED:
+                    node.engine.run_until(to)
+            last_advance = to
+            self._retire_drained(all_nodes, routable, timeline)
 
         while True:
+            if hook is not None:
+                # Causal step: a completion may offer work at its own
+                # instant, so no node runs past its next event while an
+                # offer could still land before it.  Ties go to the
+                # nodes, as in every advance.
+                step = min((t for t in (node.engine.next_event_s()
+                                        for node in all_nodes
+                                        if node.state != RETIRED)
+                            if t is not None), default=None)
+                if step is not None and (not events
+                                         or step <= events[0][0]):
+                    advance(step)
+                    continue
             if not events:
-                if not interactive:
-                    break
-                # Interactive tail: no offers in flight, but in-flight
-                # work may still complete and (via the hook) generate
-                # new ones.  Advance every live node to the earliest
-                # engine event, in global time order, and loop — done
-                # only when the fleet is truly idle.
-                times = [t for t in (node.engine.next_event_s()
-                                     for node in all_nodes
-                                     if node.state != RETIRED)
-                         if t is not None]
-                if not times:
-                    break
-                target = min(times)
-                for node in all_nodes:
-                    if node.state != RETIRED:
-                        node.engine.run_until(target)
-                if target > last_advance:
-                    last_advance = target
-                self._retire_drained(all_nodes, routable, timeline)
-                continue
+                break
             now, _, kind, payload = heapq.heappop(events)
             if now > last_advance:
-                # Advance once per distinct event time (re-offers and
-                # simultaneous arrivals share the advance), and only
-                # drive nodes that still have or may get work.
-                for node in all_nodes:
-                    if node.state != RETIRED:
-                        node.engine.run_until(now)
-                last_advance = now
-                self._retire_drained(all_nodes, routable, timeline)
+                # One advance per distinct event time: re-offers and
+                # simultaneous arrivals share it.
+                advance(now)
 
             if kind == _TICK:
-                if pending[0] > 0:
+                if pending > 0:
                     self._autoscale_tick(scaler, all_nodes, routable,
                                          timeline, events, seq,
-                                         auto_names, now, tracer=tracer)
+                                         auto_names, now, build_node)
                     heapq.heappush(
                         events, (now + self.autoscale.tick_s, next(seq),
                                  _TICK, None))
@@ -424,7 +336,6 @@ class Cluster:
             if kind == _JOIN:
                 node = payload
                 node.state = LIVE
-                node.joined_s = now
                 routable.append(node)
                 peak_live = max(peak_live, len(routable))
                 timeline.append(ScalingEvent(
@@ -432,16 +343,13 @@ class Cluster:
                     live_nodes=len(routable)))
                 continue
 
-            pending[0] -= 1
+            pending -= 1
             attempts, query = payload
             if controller is not None:
                 decision = controller.decide(routable, query, attempts)
                 if decision == DEFER:
-                    heapq.heappush(
-                        events,
-                        (now + controller.policy.defer_s, next(seq),
-                         _OFFER, (attempts + 1, query)))
-                    pending[0] += 1
+                    offer(query, now + controller.policy.defer_s,
+                          attempts + 1)
                     if tracer is not None:
                         tracer.event("admission.defer", now, cat="cluster",
                                      qid=query.query_id,
@@ -453,29 +361,7 @@ class Cluster:
                         tracer.event("admission.shed", now, cat="cluster",
                                      qid=query.query_id,
                                      args={"attempts": attempts})
-                    owner = (stage_owner.pop(
-                        (query.query_id, query.stage), None)
-                        if query.stage is not None else None)
-                    if owner is not None:
-                        # A shed stage fails the whole pipeline: no
-                        # later stage runs, its QoS counts as missed.
-                        owner.shed_stage = query.stage
-                        if tracer is not None:
-                            tracer.event(
-                                "pipeline.failed", now, cat="pipeline",
-                                qid=owner.pipeline_id,
-                                args={"stage": query.stage})
-                    elif query.session is not None:
-                        tenant = tenants_by_session.get(query.session)
-                        if tenant is not None:
-                            # Shedding hands control back to the tenant
-                            # too — its next request still issues, so a
-                            # shedding fleet sees reduced load, not a
-                            # frozen session.
-                            tenant.observe(query, shed=True)
-                            follow = tenant.next_request(now)
-                            if follow is not None:
-                                offer(follow, follow.arrival_s)
+                    driver.on_shed(query, now)
                     continue
             node = router.choose(routable, query, now)
             if tracer is not None:
@@ -489,21 +375,17 @@ class Cluster:
             node.engine.submit(query, at=now)
             node.assigned += 1
             # Process the arrival at its own instant so the next offer
-            # at the same timestamp routes on fresh node state (the
-            # per-offer full-fleet advance this replaces did exactly
-            # this, O(nodes) times over).
+            # at the same timestamp routes on fresh node state.
             node.engine.run_until(now)
 
-        # Tail: finish in-flight work everywhere, then stamp lifecycle.
-        # An interactive serve already drained incrementally above (the
-        # hook needed completions in global time order), so these
-        # drains are no-ops there; the legacy per-node tail is kept
-        # verbatim for open-loop serves — bit-identical results.
+        # Tail: an open-loop serve finishes each node's in-flight work
+        # here (the causal loop leaves nothing to drain), then lifecycle
+        # is stamped.
         for node in all_nodes:
             if node.state != RETIRED:
                 node.engine.drain()
         self._retire_drained(all_nodes, routable, timeline)
-        self._stream_hook = None
+        offered_log = driver.issued
         window_end = max(
             [query.arrival_s for query in offered_log]
             + [node.engine.completed[-1].finished_s
@@ -557,34 +439,7 @@ class Cluster:
                         "fleet.signals", signal.time_s,
                         {field: getattr(signal, field)
                          for field in FLEET_SIGNAL_FIELDS})
-
-        if tracer is not None and stream is not None:
-            # Request-level spans, linked to their stage-level query
-            # spans by qid (stage queries carry the pipeline id; a
-            # tenant's queries carry its session-strided ids).
-            for pipeline in stream.pipelines:
-                end = (pipeline.finished_s
-                       if pipeline.finished_s is not None else window_end)
-                tracer.span(
-                    f"pipeline:{pipeline.spec.name}", pipeline.arrival_s,
-                    end - pipeline.arrival_s, cat="pipeline",
-                    qid=pipeline.pipeline_id,
-                    args={"stages": len(pipeline.stages),
-                          "satisfied": pipeline.satisfied,
-                          "failed": pipeline.failed})
-            for tenant in stream.tenants:
-                if not tenant.issued:
-                    continue
-                first = min(q.arrival_s for q in tenant.issued)
-                last = max((q.finished_s if q.finished_s is not None
-                            else q.arrival_s) for q in tenant.issued)
-                tracer.span(
-                    f"session:{tenant.session}", first, last - first,
-                    cat="session", qid=tenant.issued[0].query_id,
-                    args={"issued": len(tenant.issued),
-                          "completed": tenant.completed,
-                          "satisfied": tenant.satisfied,
-                          "shed": tenant.shed})
+        driver.trace_requests(window_end)
 
         self.last_nodes = all_nodes
         self.last_autoscale = scaler
@@ -595,17 +450,14 @@ class Cluster:
             offered_qps=offered_qps, router=router.name,
             timeline=tuple(timeline), peak_live_nodes=peak_live,
             window=(start_s, window_end),
-            pipelines=(pipeline_rollup(stream.pipelines)
-                       if stream is not None else None),
-            sessions=(session_reports(stream.tenants)
-                      if stream is not None else ()))
+            pipelines=pipeline_rollup(stream.pipelines),
+            sessions=session_reports(stream.tenants))
 
     def _autoscale_tick(self, scaler: AutoscaleController,
                         all_nodes: list[ClusterNode],
                         routable: list[ClusterNode],
                         timeline: list[ScalingEvent], events: list,
-                        seq, auto_names, now: float,
-                        tracer=None) -> None:
+                        seq, auto_names, now: float, build_node) -> None:
         """One control tick: feed the SLO window, maybe resize the fleet."""
         for node in all_nodes:
             completed = node.engine.completed
@@ -617,7 +469,14 @@ class Cluster:
         if delta > 0:
             for _ in range(delta):
                 name = f"{self.autoscale.template.name}-{next(auto_names)}"
-                node = self._provision(all_nodes, name, now, tracer=tracer)
+                # A warming node from the template, joined after warm-up.
+                # Spin-up goes through stack.runtime_for: it re-profiles
+                # for the template's device but never recompiles.
+                node = build_node(len(all_nodes),
+                                  replace(self.autoscale.template, name=name))
+                node.state = WARMING
+                node.provisioned_s = now
+                all_nodes.append(node)
                 timeline.append(ScalingEvent(
                     time_s=now, action=PROVISION, node=name,
                     live_nodes=len(routable), reason=scaler.reason()))
@@ -635,8 +494,7 @@ class Cluster:
             timeline.append(ScalingEvent(
                 time_s=now, action=DRAIN, node=victim.spec.name,
                 live_nodes=len(routable), reason=scaler.reason()))
-            if victim.engine.outstanding == 0:
-                self._retire(victim, routable, timeline)
+            self._retire_drained(all_nodes, routable, timeline)
 
     def report(self, spec: WorkloadSpec, qps: float, count: int,
                seed: int | None = None, scenario=None,
@@ -649,12 +507,7 @@ class Cluster:
         ``qps`` — the fleet twin of ``ServingStack.report``.
         ``tracer`` records the serve (see :meth:`serve`).
         """
-        effective_seed = self.stack.seed if seed is None else seed
-        if scenario is not None:
-            queries = scenario_queries(self.stack.compiled, scenario,
-                                       qps, count, seed=effective_seed,
-                                       spec=spec)
-        else:
-            queries = poisson_queries(self.stack.compiled, spec, qps,
-                                      count, seed=effective_seed)
+        queries = scenario_queries(
+            self.stack.compiled, scenario, qps, count,
+            seed=self.stack.seed if seed is None else seed, spec=spec)
         return self.serve(queries, offered_qps=qps, tracer=tracer)

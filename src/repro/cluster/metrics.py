@@ -9,7 +9,6 @@ same raw queries, never re-estimated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +40,6 @@ class NodeReport:
     retired_s: float = 0.0
     node_seconds: float = 0.0
     final_state: str = "live"
-
-    @property
-    def cpu_name(self) -> str:
-        """Deprecated alias for :attr:`device_name` (pre-hetero name)."""
-        warnings.warn(
-            "NodeReport.cpu_name is deprecated; use device_name",
-            DeprecationWarning, stacklevel=2)
-        return self.device_name
 
     @property
     def satisfaction_rate(self) -> float:

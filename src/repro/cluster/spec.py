@@ -10,7 +10,6 @@ pass owned by the :class:`ServingStack`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.hardware.platform import (
@@ -18,7 +17,6 @@ from repro.hardware.platform import (
     EDGE_NODE_32,
     PRODUCTION_SERVER_256,
     THREADRIPPER_3990X,
-    CpuSpec,
     DeviceSpec,
 )
 
@@ -26,43 +24,17 @@ from repro.hardware.platform import (
 DEFAULT_NODE_POLICY = "veltair_full"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NodeSpec:
-    """One serving node: a device plus the local scheduling policy.
-
-    ``device`` is the canonical field; the ``cpu=`` keyword and ``cpu``
-    property remain as compatibility aliases from the CPU-only era
-    (every pre-DeviceSpec call site keeps working unchanged).
-    """
+    """One serving node: a device plus the local scheduling policy."""
 
     name: str
     device: DeviceSpec
     policy: str = DEFAULT_NODE_POLICY
 
-    def __init__(self, name: str = "", device: DeviceSpec | None = None,
-                 policy: str = DEFAULT_NODE_POLICY, *,
-                 cpu: CpuSpec | None = None) -> None:
-        if device is None:
-            device = cpu
-        elif cpu is not None and cpu != device:
-            raise ValueError(f"node {name!r} got conflicting device= "
-                             "and cpu= specs")
-        if device is None:
-            raise ValueError(f"node {name!r} needs a device (device= or "
-                             "the legacy cpu= alias)")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "device", device)
-        object.__setattr__(self, "policy", policy)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("node name must be non-empty")
-
-    @property
-    def cpu(self) -> DeviceSpec:
-        """Legacy alias for :attr:`device`."""
-        return self.device
 
     @property
     def cores(self) -> int:
@@ -111,26 +83,13 @@ class ClusterSpec:
                 distinct.append(node.device)
         return tuple(distinct)
 
-    @property
-    def cpu_specs(self) -> tuple[DeviceSpec, ...]:
-        """Deprecated alias for :attr:`device_specs`."""
-        warnings.warn(
-            "ClusterSpec.cpu_specs is deprecated; use device_specs",
-            DeprecationWarning, stacklevel=2)
-        return self.device_specs
 
-
-def homogeneous(count: int, cpu: CpuSpec | None = None,
-                policy: str = DEFAULT_NODE_POLICY,
+def homogeneous(count: int, policy: str = DEFAULT_NODE_POLICY,
                 name: str | None = None,
-                device: DeviceSpec | None = None) -> ClusterSpec:
+                device: DeviceSpec = THREADRIPPER_3990X) -> ClusterSpec:
     """``count`` identical nodes (default: the paper's 64-core testbed)."""
     if count <= 0:
         raise ValueError("node count must be positive")
-    if device is not None and cpu is not None and cpu != device:
-        raise ValueError("pass either device= or the legacy cpu= alias")
-    device = device if device is not None else cpu
-    device = device if device is not None else THREADRIPPER_3990X
     label = name or f"{count}x{device.cores}c"
     return ClusterSpec(
         name=label,
@@ -150,10 +109,13 @@ def mixed_fleet(policy: str = DEFAULT_NODE_POLICY) -> ClusterSpec:
     return ClusterSpec(
         name="mixed-4",
         nodes=(
-            NodeSpec(name="worker0", cpu=THREADRIPPER_3990X, policy=policy),
-            NodeSpec(name="worker1", cpu=THREADRIPPER_3990X, policy=policy),
-            NodeSpec(name="big0", cpu=PRODUCTION_SERVER_256, policy=policy),
-            NodeSpec(name="edge0", cpu=EDGE_NODE_32, policy=policy),
+            NodeSpec(name="worker0", device=THREADRIPPER_3990X,
+                     policy=policy),
+            NodeSpec(name="worker1", device=THREADRIPPER_3990X,
+                     policy=policy),
+            NodeSpec(name="big0", device=PRODUCTION_SERVER_256,
+                     policy=policy),
+            NodeSpec(name="edge0", device=EDGE_NODE_32, policy=policy),
         ))
 
 
@@ -168,9 +130,11 @@ def hetero_fleet(policy: str = DEFAULT_NODE_POLICY) -> ClusterSpec:
     return ClusterSpec(
         name="hetero-4",
         nodes=(
-            NodeSpec(name="worker0", cpu=THREADRIPPER_3990X, policy=policy),
-            NodeSpec(name="worker1", cpu=THREADRIPPER_3990X, policy=policy),
+            NodeSpec(name="worker0", device=THREADRIPPER_3990X,
+                     policy=policy),
+            NodeSpec(name="worker1", device=THREADRIPPER_3990X,
+                     policy=policy),
             NodeSpec(name="accel0", device=DATACENTER_ACCEL_80,
                      policy=policy),
-            NodeSpec(name="edge0", cpu=EDGE_NODE_32, policy=policy),
+            NodeSpec(name="edge0", device=EDGE_NODE_32, policy=policy),
         ))

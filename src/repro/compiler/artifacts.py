@@ -417,16 +417,6 @@ def resolve_store(store: "ArtifactStore | str | Path | None",
 # ---------------------------------------------------------------------------
 # Parallel layer compilation
 
-#: Compile description inherited by fork()-ed workers (copy-on-write,
-#: never pickled) — the same discipline as the sweep pool's state.
-_COMPILE_STATE: SinglePassCompiler | None = None
-
-
-def _compile_worker(item: tuple[int, LayerSpec, float]
-                    ) -> tuple[int, CompiledLayer]:
-    index, layer, budget = item
-    return index, _COMPILE_STATE.compile_layer(layer, budget)
-
 
 def compile_layers(single_pass: SinglePassCompiler,
                    work: list[tuple[LayerSpec, float]],
@@ -434,31 +424,11 @@ def compile_layers(single_pass: SinglePassCompiler,
     """Compile independent (layer, budget) items, optionally in parallel.
 
     Every item is an independent Alg. 1 run seeded by its layer
-    signature, so the fan-out is embarrassingly parallel and the
-    results are bit-identical to the serial path.  ``workers <= 1``, a
-    platform without ``fork``, or a pool failure mid-run all fall back
-    to in-process compilation.
+    signature, so the fan-out (:func:`repro.parallel.sweep`) is
+    embarrassingly parallel and the results are bit-identical to the
+    serial path.  ``workers <= 1``, a platform without ``fork``, or a
+    pool failure mid-run all fall back to in-process compilation.
     """
-    global _COMPILE_STATE
-    if workers <= 1 or len(work) <= 1:
-        return [single_pass.compile_layer(layer, budget)
-                for layer, budget in work]
-    from repro.parallel import fork_worker_pool
-    items = [(i, layer, budget) for i, (layer, budget) in enumerate(work)]
-    _COMPILE_STATE = single_pass
-    try:
-        with fork_worker_pool(min(workers, len(work))) as pool:
-            if pool is not None:
-                try:
-                    indexed = pool.map(_compile_worker, items)
-                except OSError:
-                    indexed = None  # worker/pipe died: recompute serially
-                if indexed is not None:
-                    ordered = [None] * len(work)
-                    for index, compiled in indexed:
-                        ordered[index] = compiled
-                    return ordered
-    finally:
-        _COMPILE_STATE = None
-    return [single_pass.compile_layer(layer, budget)
-            for layer, budget in work]
+    from repro.parallel import sweep
+    return sweep(lambda item: single_pass.compile_layer(*item), work,
+                 workers=workers)

@@ -648,6 +648,8 @@ class Engine:
         }
         if block.had_conflict:
             args["conflict"] = True
+        if query.stage is not None:
+            args["stage"] = query.stage
         self.tracer.span(
             f"{query.model.name}[{block.start_layer}:{block.stop_layer})",
             block.started_s, self.now - block.started_s, cat="block",
@@ -659,20 +661,23 @@ class Engine:
         The query span's duration is stored as the exact float
         ``finished_s - arrival_s`` — the same value
         ``ServingReport.summarize`` averages — so a saved trace
-        reproduces the report's mean latency bit for bit.
+        reproduces the report's mean latency bit for bit.  Pipeline
+        stages share their pipeline's qid, so stage queries' spans also
+        carry ``stage``.
         """
         started = (query.started_s if query.started_s is not None
                    else query.arrival_s)
+        stage = {"stage": query.stage} if query.stage is not None else {}
         self.tracer.span("queue", query.arrival_s,
                          started - query.arrival_s, cat="phase",
-                         qid=query.query_id)
+                         qid=query.query_id, args=stage)
         self.tracer.span(
             query.model.name, query.arrival_s,
             query.finished_s - query.arrival_s, cat="query",
             qid=query.query_id,
             args={"satisfied": query.satisfied, "qos_s": query.qos_s,
                   "blocks": query.blocks, "conflicts": query.conflicts,
-                  "grows": query.grows})
+                  "grows": query.grows, **stage})
 
     # ------------------------------------------------------------------
     # main loop
@@ -776,10 +781,9 @@ class Engine:
 
         Pops stale finish events (and stale batch-flush timers) off the
         heap top exactly as the drive loop would, so the answer is the
-        time :meth:`run_until` would next act at.  The cluster's
-        interactive tail drain uses this to advance all nodes in global
-        time order, keeping completion-hook hand-offs causally ordered
-        across nodes.
+        time :meth:`run_until` would next act at.  The cluster serve
+        loop steps request-model serves by it, so completion-hook
+        hand-offs are offered at their own instant on every node.
         """
         while self._events:
             time, _, kind, payload = self._events[0]

@@ -4,11 +4,15 @@ Each function maps onto one evaluation protocol of Sec. 5; the benchmark
 modules parameterise them per figure and print the paper-shaped series.
 
 The load axis is the expensive one — every point of a QPS sweep is an
-independent simulation — so :func:`sweep_qps` batches points and can
-fan them out over ``fork``-ed worker processes.  The capacity search
-(:func:`capacity`, the Fig. 12 protocol) and the latency curves
+independent simulation — so :func:`sweep_qps` is one point function
+(offered QPS -> report) run through :func:`repro.parallel.sweep`, which
+can fan points out over ``fork``-ed worker processes.  The capacity
+search (:func:`capacity`, the Fig. 12 protocol) and the latency curves
 (:func:`reports_over_qps`, Fig. 13) both run through it; with
 ``workers=1`` every call reduces to the classic sequential protocol.
+The fleet drivers of :mod:`repro.cluster.experiments` reuse the same
+sweep, the same pre-fork warm-up (:func:`warm_stack`) and the same
+bisection (:func:`bisect_capacity`).
 
 Every driver accepts a ``scenario`` (:class:`repro.workloads.ScenarioSpec`
 or registered name): the arrival shape the sweep scales to each offered
@@ -21,7 +25,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from repro.parallel import fork_worker_pool
+from repro.parallel import point_pool, sweep
 from repro.serving.metrics import (
     ServingReport,
     max_qps_at_satisfaction,
@@ -30,16 +34,9 @@ from repro.serving.metrics import (
 from repro.serving.server import ServingStack
 from repro.serving.workload import (
     WorkloadSpec,
-    poisson_queries,
     scenario_queries,
     uniform_queries,
 )
-
-#: Sweep description inherited by fork()-ed workers: (stack, policy,
-#: spec, count, seed, uniform, scenario).  Module-level so the child
-#: processes see it through copy-on-write instead of pickling the
-#: compiled stack.
-_SWEEP_STATE: tuple | None = None
 
 
 def _resolve_scenario(scenario):
@@ -68,31 +65,46 @@ def _resolve_scenario(scenario):
     return resolved
 
 
-def _run_point(stack: ServingStack, policy: str, spec: WorkloadSpec,
-               qps: float, count: int, seed: int | None,
-               uniform: bool, scenario=None) -> ServingReport:
-    """Simulate one offered-load point and summarise it."""
-    if scenario is not None:
-        queries = scenario_queries(
-            stack.compiled, scenario, qps, count,
-            seed=stack.seed if seed is None else seed, spec=spec)
-    elif uniform:
-        queries = uniform_queries(stack.compiled, spec.models[0], qps,
-                                  count)
-    else:
-        queries = poisson_queries(stack.compiled, spec, qps, count,
-                                  seed=stack.seed if seed is None else seed)
-    completed, engine = stack.run(policy, queries)
-    return summarize(completed, engine.metrics, qps)
+def warm_stack(stack: ServingStack, devices: tuple = ()) -> None:
+    """Build every lazy artifact a sweep's workers read, before forking.
+
+    Workers share compiled models, scheduling profiles, per-device
+    runtimes and fitted proxies by copy-on-write only if they exist at
+    fork time — otherwise every worker would redo the whole compile
+    pass (and proxy fits) privately.  ``devices`` are the node devices
+    whose runtimes and proxies the workers read.
+    """
+    stack.ensure_compiled()
+    for name in stack.model_names:
+        _ = stack.profiles[name]
+    for device in devices:
+        _ = stack.runtime_for(device).proxy
 
 
-def _sweep_worker(qps: float) -> ServingReport:
-    stack, policy, spec, count, seed, uniform, scenario = _SWEEP_STATE
-    return _run_point(stack, policy, spec, qps, count, seed, uniform,
-                      scenario)
+def _point(stack: ServingStack, policy: str, spec: WorkloadSpec,
+           count: int, seed: int | None, uniform: bool, scenario):
+    """The single-node point function: offered QPS -> ServingReport."""
+    effective_seed = stack.seed if seed is None else seed
+
+    def run(qps: float) -> ServingReport:
+        if uniform:
+            queries = uniform_queries(stack.compiled, spec.models[0], qps,
+                                      count)
+        else:
+            queries = scenario_queries(stack.compiled, scenario, qps, count,
+                                       seed=effective_seed, spec=spec)
+        completed, engine = stack.run(policy, queries)
+        return summarize(completed, engine.metrics, qps)
+
+    return run
 
 
-@contextlib.contextmanager
+def _warm(stack: ServingStack, policy: str):
+    # Only the proxy-driven policies pay the proxy fit.
+    proxied = policy in ("veltair_ac", "veltair_full")
+    return lambda: warm_stack(stack, (stack.cpu,) if proxied else ())
+
+
 def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
                count: int, seed: int | None = None,
                uniform: bool = False, workers: int = 2,
@@ -104,34 +116,15 @@ def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
     round to the next — with an ephemeral pool per call, every round
     would start cold and redo the block pricing the shared cache
     exists to eliminate.  The sweep scenario is baked in at fork time;
-    only the offered loads may vary between calls.
-
-    Pool lifecycle and the fail-soft contract (``None`` on platforms
-    without ``fork``) live in :func:`fork_worker_pool`.
+    only the offered loads may vary between calls.  Use as a context
+    manager; it yields ``None`` on platforms without ``fork``
+    (:func:`repro.parallel.fork_worker_pool`), which the sweep treats
+    as the serial path.
     """
-    global _SWEEP_STATE
-    scenario = _resolve_scenario(scenario)
-    # Force the lazily built artifacts *before* forking: workers share
-    # compiled models, scheduling profiles, and the fitted proxy by
-    # copy-on-write only if they exist at fork time — otherwise every
-    # worker would redo the whole compile pass (and proxy fit)
-    # privately.  Only the proxy-driven policies pay the proxy fit.
-    stack.ensure_compiled()
-    for name in stack.model_names:
-        _ = stack.profiles[name]
-    if policy in ("veltair_ac", "veltair_full"):
-        _ = stack.proxy
-    _SWEEP_STATE = (stack, policy, spec, count, seed, uniform, scenario)
-    try:
-        with fork_worker_pool(workers) as pool:
-            if pool is not None:
-                # Remember the fork-time scenario so sweep_qps can
-                # reject calls whose arguments disagree with what the
-                # workers will simulate.
-                pool._repro_sweep_state = _SWEEP_STATE
-            yield pool
-    finally:
-        _SWEEP_STATE = None
+    key = (stack, policy, spec, count, seed, uniform,
+           _resolve_scenario(scenario))
+    return point_pool(_point(*key), workers, key=key,
+                      warm=_warm(stack, policy))
 
 
 def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
@@ -155,46 +148,15 @@ def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
     A ``scenario`` (spec or registered name) replaces the arrival shape
     wholesale; it is mutually exclusive with ``uniform``.
     """
-    qps_list = [float(qps) for qps in qps_values]
-    if not qps_list:
-        return []
     scenario = _resolve_scenario(scenario)
     if scenario is not None and uniform:
         raise ValueError("pass either scenario or uniform, not both")
     if uniform and len(spec.models) != 1:
         raise ValueError("uniform sweeps require a single-model spec")
-    if pool is not None:
-        # Workers simulate the scenario baked in at fork time — reject
-        # a mismatched call instead of returning plausible wrong data.
-        baked = getattr(pool, "_repro_sweep_state", None)
-        if baked != (stack, policy, spec, count, seed, uniform, scenario):
-            raise ValueError(
-                "pool was created for a different sweep scenario; build "
-                "it with sweep_pool(...) using these same arguments")
-        try:
-            return pool.map(_sweep_worker, qps_list)
-        except OSError:
-            # A worker/pipe died mid-run (e.g. OOM-killed): recompute
-            # this batch serially rather than aborting a whole capacity
-            # search; later rounds fall back the same way if the pool
-            # stays broken.
-            pass
-        return [_run_point(stack, policy, spec, qps, count, seed,
-                           uniform, scenario) for qps in qps_list]
-    requested = 1 if workers is None else max(1, int(workers))
-    requested = min(requested, len(qps_list))
-    if requested > 1:
-        with sweep_pool(stack, policy, spec, count, seed=seed,
-                        uniform=uniform, workers=requested,
-                        scenario=scenario) as ephemeral:
-            if ephemeral is not None:
-                try:
-                    return ephemeral.map(_sweep_worker, qps_list)
-                except OSError:
-                    pass  # worker/pipe died mid-run: recompute serially
-    return [_run_point(stack, policy, spec, qps, count, seed, uniform,
-                       scenario)
-            for qps in qps_list]
+    key = (stack, policy, spec, count, seed, uniform, scenario)
+    return sweep(_point(*key), [float(qps) for qps in qps_values],
+                 workers=workers, pool=pool, key=key,
+                 warm=_warm(stack, policy))
 
 
 def reports_over_qps(stack: ServingStack, policy: str, model_name: str,
@@ -227,6 +189,29 @@ class CapacityResult:
     report: ServingReport
 
 
+def bisect_capacity(point, workers: int | None, warm, target: float,
+                    low_qps: float, high_qps: float,
+                    tolerance_qps: float):
+    """``(qps, report)``: max offered QPS at ``target`` satisfaction.
+
+    The bisection behind :func:`capacity` and the fleet's
+    ``cluster_capacity``, over a point function (offered QPS ->
+    report).  With ``workers > 1`` each round batches ``workers`` probes
+    across one persistent :func:`repro.parallel.point_pool` (``warm``
+    runs before the fork); by default it is the paper's sequential
+    protocol, probe for probe.
+    """
+    batch = 1 if workers is None else max(1, int(workers))
+    workers_cm = (point_pool(point, batch, warm=warm) if batch > 1
+                  else contextlib.nullcontext())
+    with workers_cm as pool:
+        return max_qps_at_satisfaction(
+            run_batch=lambda loads: sweep(
+                point, [float(qps) for qps in loads], pool=pool),
+            batch=batch, target=target, low_qps=low_qps,
+            high_qps=high_qps, tolerance_qps=tolerance_qps)
+
+
 def capacity(stack: ServingStack, policy: str, spec: WorkloadSpec,
              count: int, target: float = 0.95,
              low_qps: float = 10.0, high_qps: float = 800.0,
@@ -236,35 +221,18 @@ def capacity(stack: ServingStack, policy: str, spec: WorkloadSpec,
              scenario=None) -> CapacityResult:
     """Max offered QPS with ``target`` QoS satisfaction (Fig. 12 metric).
 
-    The bisection evaluates its probe loads through :func:`sweep_qps`;
-    with ``workers > 1`` each search round batches ``workers`` loads
-    across one persistent :func:`sweep_pool` (speculative multi-point
-    bisection over warm workers), with the default it is the paper's
-    sequential protocol, probe for probe.  A ``scenario`` makes this
-    "capacity under that arrival shape": the bisection scales the
-    scenario's mean rate instead of a stationary Poisson rate.
+    The bisection (:func:`bisect_capacity`) evaluates its probe loads
+    through the :func:`sweep_qps` point function; ``workers > 1``
+    batches each round across one persistent pool.  A ``scenario``
+    makes this "capacity under that arrival shape": the bisection
+    scales the scenario's mean rate instead of a stationary Poisson
+    rate.
     """
-    batch = 1 if workers is None else max(1, int(workers))
-    scenario = _resolve_scenario(scenario)
-
-    def search(pool) -> tuple[float, ServingReport]:
-        def run_batch(qps_values: list[float]) -> list[ServingReport]:
-            return sweep_qps(stack, policy, spec, qps_values, count,
-                             seed=seed, pool=pool, scenario=scenario)
-
-        return max_qps_at_satisfaction(
-            run_batch=run_batch, batch=batch, target=target,
-            low_qps=low_qps, high_qps=high_qps,
-            tolerance_qps=tolerance_qps)
-
-    if batch > 1:
-        # sweep_pool fails soft to ``None`` (the serial path) on
-        # spawn-only platforms, so no availability check is needed here.
-        with sweep_pool(stack, policy, spec, count, seed=seed,
-                        workers=batch, scenario=scenario) as pool:
-            qps, report = search(pool)
-    else:
-        qps, report = search(None)
+    point = _point(stack, policy, spec, count, seed, False,
+                   _resolve_scenario(scenario))
+    qps, report = bisect_capacity(
+        point, workers, _warm(stack, policy), target=target,
+        low_qps=low_qps, high_qps=high_qps, tolerance_qps=tolerance_qps)
     return CapacityResult(policy=policy, workload=spec.name, qps=qps,
                           report=report)
 

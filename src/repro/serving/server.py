@@ -20,8 +20,9 @@ simulations stay independent.  Policies are addressed by name:
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.config import DEFAULT_SEED
@@ -54,11 +55,7 @@ from repro.scheduling.layerwise import (
 from repro.scheduling.prema import PremaScheduler
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.metrics import ServingReport, summarize
-from repro.serving.workload import (
-    WorkloadSpec,
-    poisson_queries,
-    scenario_queries,
-)
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 POLICIES = ("model_fcfs", "layerwise", "prema", "block6", "block11",
             "veltair_as", "veltair_ac", "veltair_full", "gacer")
@@ -85,7 +82,14 @@ class NodeRuntime:
     cost_model: CostModel
     price_cache: PricingCache
     profiles: dict[str, ModelProfile]
-    proxy: LinearInterferenceProxy | None
+    #: Produces :attr:`proxy` on first read, so nodes whose policy and
+    #: router never consult the proxy never pay its fit.
+    fit_proxy: Callable[[], LinearInterferenceProxy | None] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def proxy(self) -> LinearInterferenceProxy | None:
+        return self.fit_proxy()
 
     @property
     def device(self) -> CpuSpec | DeviceSpec:
@@ -101,9 +105,10 @@ class StreamOutcome:
     """Result of :meth:`ServingStack.run_stream`.
 
     ``completed`` are the stage-level queries in completion order
-    (exactly what :func:`repro.serving.metrics.summarize` consumes);
-    ``issued`` is every stage-level query submitted over the run with
-    its *realized* arrival time — pipeline hand-offs and closed-loop
+    (exactly what :func:`repro.serving.metrics.summarize` consumes) and
+    ``engine`` the node engine that ran them; ``issued`` is every
+    stage-level query submitted over the run with its *realized*
+    arrival time — pipeline hand-offs and closed-loop
     follow-ups included — so ``record_trace(outcome.issued, ...)``
     captures the feedback-shaped stream for open-loop replay.
     ``pipelines`` / ``tenants`` (``PipelineQuery`` /
@@ -306,20 +311,21 @@ class ServingStack:
         if cpu == self.cpu:
             runtime = NodeRuntime(cpu=self.cpu, cost_model=self.cost_model,
                                   price_cache=self.price_cache,
-                                  profiles=self.profiles, proxy=self.proxy)
+                                  profiles=self.profiles,
+                                  fit_proxy=lambda: self.proxy)
         else:
             cost_model = CostModel(cpu, self.cost_model.params)
             profiles = {name: build_profile(cost_model, compiled)
                         for name, compiled in self.compiled.items()}
+            # Re-fit per width: the proxy reads chip-wide counter
+            # magnitudes, which do not port across machine specs.
+            proxy = (self._fit_proxy(cost_model)
+                     if self._use_proxy else None)
             runtime = NodeRuntime(
                 cpu=cpu, cost_model=cost_model,
                 price_cache=PricingCache(
                     max_entries=self.price_cache.max_entries),
-                profiles=profiles,
-                # Re-fit per width: the proxy reads chip-wide counter
-                # magnitudes, which do not port across machine specs.
-                proxy=(self._fit_proxy(cost_model)
-                       if self._use_proxy else None))
+                profiles=profiles, fit_proxy=lambda: proxy)
         self._runtimes[cpu] = runtime
         return runtime
 
@@ -393,65 +399,33 @@ class ServingStack:
         return completed, engine
 
     def run_stream(self, policy: str, stream,
-                   batching: BatchPolicy | None = None,
-                   tracer=None) -> "StreamOutcome":
+                   tracer=None) -> StreamOutcome:
         """Drive a :class:`repro.workloads.RequestStream` to completion.
 
-        The request-model counterpart of :meth:`run`: pipeline stages
-        are handed off (stage *k+1* submitted the instant stage *k*
-        completes) and closed-loop tenants issue their next request at
-        each completion, all through the engine's ``on_complete`` seam.
-        A stream holding only plain ``queries`` behaves exactly like
-        :meth:`run` plus the optional ``batching``.
+        The request-model counterpart of :meth:`run`, served as a fleet
+        of one: a one-node ``round_robin``
+        :class:`~repro.cluster.fleet.Cluster` of this stack's device, so
+        single-node and fleet request serves share one serve loop and
+        one :class:`~repro.workloads.requests.RequestDriver`.  Pipeline
+        stage *k+1* is submitted the instant stage *k* completes and
+        closed-loop tenants issue their next request at each
+        completion.  A stream holding only plain ``queries`` behaves
+        exactly like :meth:`run`; dynamic batching goes through
+        :meth:`run` (or an :class:`Engine` directly).
         """
-        issued: list[Query] = []
-        # Stage queries key by (pipeline id, stage index) — unique per
-        # stage and stable across runs, unlike object identity.
-        stage_owner: dict[tuple[int, int], "PipelineQuery"] = {}
-        tenants_by_session = {t.session: t for t in stream.tenants}
+        # The cluster layer sits above serving: import at call time.
+        from repro.cluster.fleet import Cluster
+        from repro.cluster.spec import homogeneous
 
-        def hook(engine: Engine, query: Query) -> None:
-            owner = stage_owner.pop((query.query_id, query.stage), None) \
-                if query.stage is not None else None
-            if owner is not None:
-                owner.next_stage = query.stage + 1
-                if owner.next_stage >= len(owner.stages):
-                    owner.finished_s = engine.now
-                else:
-                    nxt = owner.stages[owner.next_stage]
-                    nxt.arrival_s = engine.now
-                    stage_owner[(nxt.query_id, nxt.stage)] = owner
-                    issued.append(nxt)
-                    engine.submit(nxt)
-                return
-            if query.session is not None:
-                tenant = tenants_by_session.get(query.session)
-                if tenant is not None:
-                    tenant.observe(query)
-                    follow = tenant.next_request(engine.now)
-                    if follow is not None:
-                        issued.append(follow)
-                        engine.submit(follow)
-
-        engine = Engine(self.cost_model, price_cache=self.price_cache,
-                        tracer=tracer, batching=batching, on_complete=hook)
-        scheduler = self.make_scheduler(policy)
-        initial: list[Query] = list(stream.queries)
-        issued.extend(stream.queries)
-        for pipeline in stream.pipelines:
-            first = pipeline.stages[0]
-            stage_owner[(first.query_id, first.stage)] = pipeline
-            initial.append(first)
-            issued.append(first)
-        for tenant in stream.tenants:
-            for query in tenant.initial_requests():
-                initial.append(query)
-                issued.append(query)
-        engine.begin(initial, scheduler)
-        completed = engine.drain()
+        cluster = Cluster(self, homogeneous(1, policy=policy,
+                                            device=self.cpu),
+                          router="round_robin")
+        cluster.serve_stream(stream, tracer=tracer)
+        (node,) = cluster.last_nodes
         return StreamOutcome(
-            completed=completed, engine=engine, issued=issued,
-            pipelines=list(stream.pipelines), tenants=list(stream.tenants))
+            completed=node.engine.completed, engine=node.engine,
+            issued=cluster.last_offered, pipelines=list(stream.pipelines),
+            tenants=list(stream.tenants))
 
     def report(self, policy: str, spec: WorkloadSpec, qps: float,
                count: int, seed: int | None = None,
@@ -465,14 +439,9 @@ class ServingStack:
         the saved trace's ``summarize`` reproduces this report's
         ``average_latency_s`` exactly.
         """
-        effective_seed = self.seed if seed is None else seed
-        if scenario is not None:
-            queries = scenario_queries(self.compiled, scenario, qps,
-                                       count, seed=effective_seed,
-                                       spec=spec)
-        else:
-            queries = poisson_queries(self.compiled, spec, qps, count,
-                                      seed=effective_seed)
+        queries = scenario_queries(
+            self.compiled, scenario, qps, count,
+            seed=self.seed if seed is None else seed, spec=spec)
         completed, engine = self.run(policy, queries, tracer=tracer)
         return summarize(completed, engine.metrics, qps)
 

@@ -119,9 +119,13 @@ def scenario_queries(compiled: dict[str, CompiledModel],
     ``scenario`` may be a spec or a registered scenario name; a
     mix-agnostic scenario draws its models from ``spec``.  Equivalent to
     ``scenario.queries(...)`` — provided here so the serving layer's
-    stream generators live side by side.  (Import is lazy:
-    ``repro.workloads`` sits above this module in the layering.)
+    stream generators live side by side.  ``None`` draws the legacy
+    stationary stream, :func:`poisson_queries` over ``spec``.  (Import
+    is lazy: ``repro.workloads`` sits above this module in the
+    layering.)
     """
+    if scenario is None:
+        return poisson_queries(compiled, spec, qps, count, seed=seed)
     from repro.workloads.scenario import resolve_scenario
     return resolve_scenario(scenario).queries(compiled, qps, count,
                                               seed=seed, spec=spec)

@@ -78,22 +78,33 @@ class TraceSummary:
     span_s: float = 0.0
 
 
+def _key(record: TraceRecord) -> tuple[int | None, int | None]:
+    """A query's span key: pipeline stages share their pipeline's qid,
+    so stage spans also carry ``stage`` and key by ``(qid, stage)``."""
+    return record.qid, record.args.get("stage")
+
+
+def _label(key: tuple[int | None, int | None]) -> str:
+    qid, stage = key
+    return f"qid {qid}" if stage is None else f"qid {qid} stage {stage}"
+
+
 def _query_groups(trace: Trace) -> tuple[list[TraceRecord],
-                                         dict[int, list[TraceRecord]],
-                                         dict[int, TraceRecord]]:
-    """(query spans in record order, blocks by qid, queue span by qid)."""
+                                         dict[tuple, list[TraceRecord]],
+                                         dict[tuple, TraceRecord]]:
+    """(query spans in record order, blocks by key, queue span by key)."""
     queries: list[TraceRecord] = []
-    blocks: dict[int, list[TraceRecord]] = {}
-    queues: dict[int, TraceRecord] = {}
+    blocks: dict[tuple, list[TraceRecord]] = {}
+    queues: dict[tuple, TraceRecord] = {}
     for record in trace.records:
         if record.kind != "span":
             continue
         if record.cat == "query":
             queries.append(record)
         elif record.cat == "block" and record.qid is not None:
-            blocks.setdefault(record.qid, []).append(record)
+            blocks.setdefault(_key(record), []).append(record)
         elif record.cat == "phase" and record.qid is not None:
-            queues[record.qid] = record
+            queues[_key(record)] = record
     return queries, blocks, queues
 
 
@@ -129,9 +140,9 @@ def summarize_trace(trace: Trace) -> TraceSummary:
     for span in queries:
         latency = span.dur
         latencies.append(latency)
-        queue_span = queues.get(span.qid)
+        queue_span = queues.get(_key(span))
         queue = queue_span.dur if queue_span is not None else 0.0
-        own_blocks = blocks.get(span.qid, ())
+        own_blocks = blocks.get(_key(span), ())
         execute = sum(b.dur for b in own_blocks)
         stall = sum(max(0.0, b.dur - b.args["iso_s"]) for b in own_blocks
                     if "iso_s" in b.args)
@@ -190,56 +201,58 @@ def validate_trace(trace: Trace) -> list[str]:
     """Structural well-formedness errors (empty list = well-formed).
 
     Checks the span-nesting contract the engine instrumentation
-    guarantees: exactly one query span per completed qid, no orphan
+    guarantees: exactly one query span per completed query (qid, plus
+    ``stage`` for pipeline stages), no orphan
     block spans, every block span inside its query span's interval on
     the same node, and the queue phase anchored at the query's arrival.
     """
     errors: list[str] = []
     queries, blocks, queues = _query_groups(trace)
 
-    by_qid: dict[int, TraceRecord] = {}
+    by_key: dict[tuple, TraceRecord] = {}
     for span in queries:
         if span.qid is None:
             errors.append(f"query span {span.name!r} at t={span.ts} has "
                           "no qid")
             continue
-        if span.qid in by_qid:
-            errors.append(f"duplicate query span for qid {span.qid}")
-        by_qid[span.qid] = span
+        key = _key(span)
+        if key in by_key:
+            errors.append(f"duplicate query span for {_label(key)}")
+        by_key[key] = span
 
-    for qid, own_blocks in blocks.items():
-        query = by_qid.get(qid)
+    for key, own_blocks in blocks.items():
+        query = by_key.get(key)
         if query is None:
             errors.append(f"{len(own_blocks)} orphan block span(s) for "
-                          f"qid {qid} (no query span)")
+                          f"{_label(key)} (no query span)")
             continue
         for block in own_blocks:
             if block.node != query.node:
-                errors.append(f"qid {qid}: block on node {block.node!r} "
-                              f"but query on {query.node!r}")
+                errors.append(f"{_label(key)}: block on node "
+                              f"{block.node!r} but query on {query.node!r}")
             if (block.ts < query.ts - _NEST_EPS
                     or block.end > query.end + _NEST_EPS):
                 errors.append(
-                    f"qid {qid}: block [{block.ts}, {block.end}] outside "
-                    f"query span [{query.ts}, {query.end}]")
+                    f"{_label(key)}: block [{block.ts}, {block.end}] "
+                    f"outside query span [{query.ts}, {query.end}]")
 
-    for qid, query in by_qid.items():
-        own_blocks = blocks.get(qid)
+    for key, query in by_key.items():
+        own_blocks = blocks.get(key)
         if not own_blocks:
-            errors.append(f"qid {qid}: query span with no block spans")
+            errors.append(f"{_label(key)}: query span with no block spans")
             continue
         first_start = min(b.ts for b in own_blocks)
         last_end = max(b.end for b in own_blocks)
         if abs(last_end - query.end) > _NEST_EPS:
-            errors.append(f"qid {qid}: query span ends at {query.end} "
+            errors.append(f"{_label(key)}: query span ends at {query.end} "
                           f"but last block ends at {last_end}")
-        queue_span = queues.get(qid)
+        queue_span = queues.get(key)
         if queue_span is not None:
             if abs(queue_span.ts - query.ts) > _NEST_EPS:
-                errors.append(f"qid {qid}: queue phase starts at "
+                errors.append(f"{_label(key)}: queue phase starts at "
                               f"{queue_span.ts}, arrival is {query.ts}")
             if queue_span.end > first_start + _NEST_EPS:
-                errors.append(f"qid {qid}: queue phase ends at "
+                errors.append(f"{_label(key)}: queue phase ends at "
                               f"{queue_span.end} after first block start "
                               f"{first_start}")
     return errors

@@ -16,6 +16,8 @@ earn their keep) never appear.  This module adds the missing half:
   stages, and a shed stage fails the whole pipeline's QoS.
 * :class:`RequestStream` — what a request-model scenario emits instead
   of a flat query list; drivers dispatch on :attr:`RequestStream.interactive`.
+* :class:`RequestDriver` — the request-model bookkeeping the one serve
+  loop (:meth:`repro.cluster.fleet.Cluster.serve_stream`) drives.
 
 Determinism: every tenant owns its own generator seeded
 ``base_seed + session`` (so per-session draws are independent of issue
@@ -252,3 +254,111 @@ class RequestStream:
     @property
     def interactive(self) -> bool:
         return bool(self.pipelines) or bool(self.tenants)
+
+
+class RequestDriver:
+    """Request-model bookkeeping for one serve of a :class:`RequestStream`.
+
+    The serve loop owns time, admission and routing; the driver owns
+    what a request outcome means.  :attr:`issued` starts with the
+    stream's opening offers; :meth:`on_complete` (the engines'
+    completion hook) and :meth:`on_shed` hand pipeline stages off, fail
+    shed pipelines and feed closed-loop tenants.  Every follow-up is
+    appended to :attr:`issued` and passed to ``offer``, which routes it
+    like any arrival at its ``arrival_s``.
+    """
+
+    def __init__(self, stream: RequestStream,
+                 offer: Callable[[Query], None], tracer=None) -> None:
+        self.stream = stream
+        self._offer = offer
+        self.tracer = tracer
+        # Stage queries carry their pipeline's id as query_id.
+        self._pipelines = {pipeline.pipeline_id: pipeline
+                           for pipeline in stream.pipelines}
+        self._tenants = {tenant.session: tenant for tenant in stream.tenants}
+        #: Every stage-level query issued so far, in issue order, with
+        #: realized arrival times.
+        self.issued: list[Query] = list(stream.queries)
+        self.issued.extend(pipeline.stages[0] for pipeline in stream.pipelines)
+        for tenant in stream.tenants:
+            self.issued.extend(tenant.initial_requests())
+
+    def _pipeline(self, query: Query) -> PipelineQuery | None:
+        return (self._pipelines.get(query.query_id)
+                if query.stage is not None else None)
+
+    def _feed_tenant(self, query: Query, now: float, shed: bool) -> None:
+        tenant = self._tenants.get(query.session)
+        if tenant is None:
+            return
+        tenant.observe(query, shed=shed)
+        follow = tenant.next_request(now)
+        if follow is not None:
+            self.issued.append(follow)
+            self._offer(follow)
+
+    def on_complete(self, engine, query: Query) -> None:
+        """Engine completion hook; ``engine.now`` is the completion instant."""
+        pipeline = self._pipeline(query)
+        if pipeline is None:
+            self._feed_tenant(query, engine.now, shed=False)
+            return
+        pipeline.next_stage = query.stage + 1
+        if pipeline.next_stage >= len(pipeline.stages):
+            pipeline.finished_s = engine.now
+            return
+        handoff = pipeline.stages[pipeline.next_stage]
+        handoff.arrival_s = engine.now
+        self.issued.append(handoff)
+        self._offer(handoff)
+
+    def on_shed(self, query: Query, now: float) -> None:
+        """Admission shed ``query`` at ``now``."""
+        pipeline = self._pipeline(query)
+        if pipeline is None:
+            # Shedding hands control back to the tenant too — its next
+            # request still issues, so a shedding fleet sees reduced
+            # load, not a frozen session.
+            self._feed_tenant(query, now, shed=True)
+            return
+        # A shed stage fails the whole pipeline: no later stage runs,
+        # its QoS counts as missed.
+        pipeline.shed_stage = query.stage
+        if self.tracer is not None:
+            self.tracer.event("pipeline.failed", now, cat="pipeline",
+                              qid=pipeline.pipeline_id,
+                              args={"stage": query.stage})
+
+    def trace_requests(self, window_end: float) -> None:
+        """Emit the request-level spans once the serve has finished.
+
+        ``pipeline:`` spans share their stage queries' qid (the
+        pipeline id); ``session:`` spans carry the tenant's first qid.
+        """
+        tracer = self.tracer
+        if tracer is None:
+            return
+        for pipeline in self.stream.pipelines:
+            end = (pipeline.finished_s if pipeline.finished_s is not None
+                   else window_end)
+            tracer.span(
+                f"pipeline:{pipeline.spec.name}", pipeline.arrival_s,
+                end - pipeline.arrival_s, cat="pipeline",
+                qid=pipeline.pipeline_id,
+                args={"stages": len(pipeline.stages),
+                      "satisfied": pipeline.satisfied,
+                      "failed": pipeline.failed})
+        for tenant in self.stream.tenants:
+            if not tenant.issued:
+                continue
+            first = min(q.arrival_s for q in tenant.issued)
+            last = max((q.finished_s if q.finished_s is not None
+                        else q.arrival_s) for q in tenant.issued)
+            tracer.span(
+                f"session:{tenant.session}", first, last - first,
+                cat="session", qid=tenant.issued[0].query_id,
+                args={"issued": len(tenant.issued),
+                      "completed": tenant.completed,
+                      "satisfied": tenant.satisfied,
+                      "shed": tenant.shed})

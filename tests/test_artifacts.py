@@ -402,6 +402,11 @@ class TestServingStackStore:
             assert stack.profiles["mobilenet_v2"] is not None
             reports = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
                                 count=20, seed=7, pool=pool)
+            if pool is not None:
+                # The workers simulate the fork-time arguments only.
+                with pytest.raises(ValueError, match="different sweep"):
+                    sweep_qps(stack, "veltair_full", spec, [50.0],
+                              count=10, seed=7, pool=pool)
         serial = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
                            count=20, seed=7)
         assert [r.average_latency_s for r in reports] == [

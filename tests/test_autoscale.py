@@ -25,7 +25,7 @@ from repro.serving.workload import WorkloadSpec, scenario_queries
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
 
-TEMPLATE = NodeSpec(name="auto", cpu=THREADRIPPER_3990X)
+TEMPLATE = NodeSpec(name="auto", device=THREADRIPPER_3990X)
 
 
 def fast_policy(**overrides) -> AutoscalePolicy:

@@ -35,20 +35,19 @@ class TestClusterSpec:
             ClusterSpec(name="x", nodes=())
 
     def test_rejects_duplicate_node_names(self):
-        node = NodeSpec(name="a", cpu=THREADRIPPER_3990X)
+        node = NodeSpec(name="a", device=THREADRIPPER_3990X)
         with pytest.raises(ValueError):
             ClusterSpec(name="x", nodes=(node, node))
 
     def test_rejects_empty_node_name(self):
         with pytest.raises(ValueError):
-            NodeSpec(name="", cpu=THREADRIPPER_3990X)
+            NodeSpec(name="", device=THREADRIPPER_3990X)
 
     def test_homogeneous(self):
         spec = homogeneous(3)
         assert len(spec) == 3
         assert spec.total_cores == 3 * 64
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            assert spec.cpu_specs == (THREADRIPPER_3990X,)
+        assert spec.device_specs == (THREADRIPPER_3990X,)
         with pytest.raises(ValueError):
             homogeneous(0)
 
@@ -56,10 +55,8 @@ class TestClusterSpec:
         spec = mixed_fleet()
         assert len(spec) == 4
         assert spec.total_cores == 64 + 64 + 256 + 32
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            assert set(spec.cpu_specs) == {THREADRIPPER_3990X,
-                                           PRODUCTION_SERVER_256,
-                                           EDGE_NODE_32}
+        assert spec.device_specs == (THREADRIPPER_3990X,
+                                     PRODUCTION_SERVER_256, EDGE_NODE_32)
 
 
 class _StubEngine:
@@ -226,8 +223,8 @@ class TestClusterServe:
 
     def test_pressure_aware_respects_width(self, light_stack):
         spec = ClusterSpec(name="het", nodes=(
-            NodeSpec(name="small", cpu=EDGE_NODE_32),
-            NodeSpec(name="big", cpu=THREADRIPPER_3990X)))
+            NodeSpec(name="small", device=EDGE_NODE_32),
+            NodeSpec(name="big", device=THREADRIPPER_3990X)))
         cluster = Cluster(light_stack, spec, router="pressure_aware")
         report = cluster.report(MIX, qps=350, count=120, seed=3)
         by_name = {n.name: n for n in report.nodes}
@@ -237,8 +234,8 @@ class TestClusterServe:
 
     def test_shared_artifacts_single_compile(self, light_stack):
         spec = ClusterSpec(name="het", nodes=(
-            NodeSpec(name="small", cpu=EDGE_NODE_32),
-            NodeSpec(name="big", cpu=THREADRIPPER_3990X)))
+            NodeSpec(name="small", device=EDGE_NODE_32),
+            NodeSpec(name="big", device=THREADRIPPER_3990X)))
         Cluster(light_stack, spec).report(MIX, qps=200, count=40, seed=3)
         assert light_stack.artifact_builds == 1
         # Per-CPU runtimes are memoised and the reference CPU reuses the
@@ -250,6 +247,23 @@ class TestClusterServe:
         assert edge is light_stack.runtime_for(EDGE_NODE_32)
         assert edge.price_cache is not light_stack.price_cache
         assert edge.profiles.keys() == light_stack.profiles.keys()
+
+    @pytest.mark.parametrize("policy", ["layerwise", "veltair_full"])
+    def test_fleet_of_one_matches_run(self, light_stack, policy):
+        """A one-node round_robin fleet is ServingStack.run, bit for bit."""
+        def queries():
+            return poisson_queries(light_stack.compiled, MIX, 250, 60,
+                                   seed=4)
+
+        completed, engine = light_stack.run(policy, queries())
+        cluster = Cluster(light_stack, homogeneous(1, policy=policy),
+                          router="round_robin")
+        cluster.serve(queries())
+        (node,) = cluster.last_nodes
+        assert ([(q.query_id, q.finished_s) for q in node.engine.completed]
+                == [(q.query_id, q.finished_s) for q in completed])
+        assert (node.engine.metrics.usage_core_seconds
+                == engine.metrics.usage_core_seconds)
 
     def test_serve_rejects_empty_stream(self, light_stack):
         with pytest.raises(ValueError):

@@ -168,35 +168,23 @@ class TestArtifactKeys:
 
 
 class TestClusterSpecs:
-    def test_node_device_and_cpu_aliases(self):
-        by_cpu = NodeSpec(name="n", cpu=THREADRIPPER_3990X)
-        by_device = NodeSpec(name="n", device=THREADRIPPER_3990X)
-        assert by_cpu == by_device
-        assert by_cpu.cpu is by_cpu.device
-        assert by_cpu.device_kind == "cpu"
+    def test_node_device_kind(self):
+        assert NodeSpec(name="n",
+                        device=THREADRIPPER_3990X).device_kind == "cpu"
         accel = NodeSpec(name="a", device=DATACENTER_ACCEL_80)
         assert accel.device_kind == "accelerator"
         assert accel.cores == 80
-
-    def test_node_spec_rejects_conflicts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NodeSpec(name="n")  # no device at all
-        with pytest.raises(ValueError):
-            NodeSpec(name="n", device=DATACENTER_ACCEL_80,
-                     cpu=THREADRIPPER_3990X)
-        # Agreeing aliases are fine.
-        NodeSpec(name="n", device=EDGE_NODE_32, cpu=EDGE_NODE_32)
 
     def test_device_specs_distinct_in_fleet_order(self):
         fleet = hetero_fleet()
         specs = fleet.device_specs
         assert specs == (THREADRIPPER_3990X, DATACENTER_ACCEL_80,
                          EDGE_NODE_32)
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            assert fleet.cpu_specs == specs  # deprecated alias
 
     def test_duplicate_node_names_rejected(self):
-        node = NodeSpec(name="dup", cpu=THREADRIPPER_3990X)
+        node = NodeSpec(name="dup", device=THREADRIPPER_3990X)
         with pytest.raises(ValueError, match="duplicate"):
             ClusterSpec(name="bad", nodes=(node, node))
 
@@ -209,7 +197,7 @@ class TestMixedFleetServing:
     @pytest.fixture(scope="class")
     def small_fleet(self):
         return ClusterSpec(name="cpu+accel", nodes=(
-            NodeSpec(name="cpu0", cpu=THREADRIPPER_3990X),
+            NodeSpec(name="cpu0", device=THREADRIPPER_3990X),
             NodeSpec(name="accel0", device=DATACENTER_ACCEL_80),
         ))
 

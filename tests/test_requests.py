@@ -7,8 +7,8 @@ seam and :meth:`Engine.drain` ordering contract, pipeline hand-off on a
 single node and shed-stage-fails-pipeline on a guarded cluster,
 closed-loop determinism (double-run and fork-pool), trace record/replay
 round-trips over realized feedback streams, the scenario registry's
-request-model entries, and the deprecated ``cpu_specs``/``cpu_name``
-aliases.
+request-model entries, and ``run_stream`` as a fleet of one (causal
+fleet hand-offs, lazy proxy, traced pipelines).
 """
 
 import math
@@ -18,11 +18,13 @@ import pytest
 from repro.cluster import AdmissionPolicy, Cluster, homogeneous
 from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
-from repro.runtime.engine import BatchPolicy
+from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import batch_profile
 from repro.serving import WorkloadSpec
+from repro.serving.server import ServingStack
 from repro.serving.workload import poisson_queries
+from repro.telemetry import Tracer, summarize_trace, validate_trace
 from repro.workloads import (
     SCENARIO_NAMES,
     ArrivalTrace,
@@ -196,6 +198,44 @@ class TestPipelines:
                                           - stage0.arrival_s)
             assert pipeline.qos_s == stage0.qos_s + stage1.qos_s
 
+    def test_fleet_handoff_enters_engine_at_completion(self, light_stack,
+                                                       monkeypatch):
+        # Every stage-1 query must reach its node's engine at its
+        # stage-0 completion instant, not at the next serve event.
+        entered = {}
+        submit = Engine.submit
+
+        def spy(engine, query, at=None):
+            time = query.arrival_s if at is None else at
+            entered[(query.query_id, query.stage)] = max(time, engine.now)
+            submit(engine, query, at)
+
+        monkeypatch.setattr(Engine, "submit", spy)
+        stream = _chain_scenario().stream(light_stack.compiled, qps=30.0,
+                                          count=20, seed=3)
+        Cluster(light_stack, homogeneous(2)).serve_stream(stream)
+        for pipeline in stream.pipelines:
+            stage0, stage1 = pipeline.stages
+            assert entered[(stage1.query_id, 1)] == stage0.finished_s
+            assert stage1.arrival_s == stage0.finished_s
+
+    def test_traced_run_stream_validates(self, light_stack):
+        stream = _chain_scenario().stream(light_stack.compiled, qps=30.0,
+                                          count=20, seed=3)
+        tracer = Tracer(run_id="chain")
+        outcome = light_stack.run_stream("veltair_full", stream,
+                                         tracer=tracer)
+        trace = tracer.trace()
+        assert validate_trace(trace) == []
+        assert len(trace.spans("pipeline")) == 20
+        summary = summarize_trace(trace)
+        assert summary.completed == len(outcome.completed) == 40
+        overall = summary.overall
+        # Each stage is charged its own blocks only.
+        assert (overall.queue_s + overall.execute_s
+                + overall.inter_block_s) == pytest.approx(overall.latency_s,
+                                                         rel=1e-9)
+
     def test_shed_stage_fails_pipeline(self, light_stack):
         stream = _chain_scenario().stream(light_stack.compiled, qps=800.0,
                                           count=16, seed=3)
@@ -335,21 +375,21 @@ class TestScenarioRegistry:
                       scenario="agent_loop")
 
 
-class TestDeprecatedAliases:
-    def test_cluster_spec_cpu_specs_warns(self):
-        fleet = homogeneous(2)
-        with pytest.warns(DeprecationWarning, match="cpu_specs"):
-            specs = fleet.cpu_specs
-        assert specs == fleet.device_specs
+class TestFleetOfOne:
+    def test_empty_stream_rejected(self, light_stack):
+        with pytest.raises(ValueError, match="empty stream"):
+            light_stack.run_stream("veltair_full", RequestStream())
 
-    def test_node_report_cpu_name_warns(self, light_stack):
-        queries = poisson_queries(light_stack.compiled, _MIX, qps=40.0,
-                                  count=4, seed=2)
-        report = Cluster(light_stack, homogeneous(1)).serve(queries)
-        node = report.nodes[0]
-        with pytest.warns(DeprecationWarning, match="cpu_name"):
-            name = node.cpu_name
-        assert name == node.device_name
+    def test_non_proxy_policy_skips_proxy_fit(self):
+        stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
+                             proxy_scenarios=60, artifact_store=None)
+        outcome = stack.run_stream("layerwise", RequestStream(
+            queries=poisson_queries(stack.compiled, _MONO, qps=40.0,
+                                    count=6, seed=2)))
+        assert len(outcome.completed) == 6
+        # layerwise and round_robin never read the proxy: the fleet of
+        # one must not pay its fit.
+        assert not stack._proxy_ready
 
 
 class TestBatchProfiles:

@@ -163,7 +163,7 @@ class TestTracedRun:
 
 
 def _fast_policy() -> AutoscalePolicy:
-    template = NodeSpec(name="auto", cpu=THREADRIPPER_3990X)
+    template = NodeSpec(name="auto", device=THREADRIPPER_3990X)
     return AutoscalePolicy(
         template=template, min_nodes=1, max_nodes=3,
         tick_s=0.02, warmup_s=0.04, cooldown_s=0.08,
