@@ -47,6 +47,7 @@ streams, device-L2 reuse less load-bearing than CPU LLC reuse).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.config import CACHE_LINE_BYTES, FP32_BYTES
@@ -122,10 +123,32 @@ class CostModelParams:
     pressure_bw_weight: float = 0.2
 
 
-def _core_grid(total_cores: int) -> list[int]:
+def core_grid(total_cores: int) -> list[int]:
     """Geometric-ish probe points for U-shaped latency-vs-cores curves."""
     grid = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48]
     return [c for c in grid if c < total_cores] + [total_cores]
+
+
+def first_fit_cores(duration: Callable[[int], float], budget_s: float,
+                    limit: int) -> int | None:
+    """Fewest cores in ``[1, limit]`` whose ``duration`` fits ``budget_s``.
+
+    The one core search behind every sizing decision (layers, blocks,
+    whole models).  Latency over cores is U-shaped (scaling gains vs
+    synchronisation tax), so :func:`core_grid` is probed first and the
+    earliest feasible grid point refined backwards linearly down to the
+    grid point before it; a fit below an infeasible grid point (a bump
+    in the curve) is not found.  ``None`` when no grid point fits.
+    """
+    previous = 1
+    for cores in core_grid(limit):
+        if duration(cores) <= budget_s:
+            for candidate in range(previous, cores):
+                if duration(candidate) <= budget_s:
+                    return candidate
+            return cores
+        previous = cores
+    return None
 
 
 @dataclass(frozen=True)
@@ -402,26 +425,13 @@ class CostModel:
     def required_cores(self, layer: LayerSpec, schedule: Schedule,
                        budget_s: float,
                        interference: float = 0.0) -> int | None:
-        """Minimal cores meeting a latency budget, or ``None`` if impossible.
-
-        Latency over cores is U-shaped (scaling gains vs synchronisation
-        tax), so a geometric grid is probed first and the earliest
-        feasible grid point refined backwards linearly.
-        """
+        """Minimal cores meeting a latency budget, or ``None`` if impossible
+        (see :func:`first_fit_cores`)."""
         if budget_s <= 0:
             return None
-        grid = _core_grid(self.cpu.cores)
-        previous = 1
-        for cores in grid:
-            if self.latency(layer, schedule, cores,
-                            interference) <= budget_s:
-                for candidate in range(previous, cores):
-                    if self.latency(layer, schedule, candidate,
-                                    interference) <= budget_s:
-                        return candidate
-                return cores
-            previous = cores
-        return None
+        return first_fit_cores(
+            lambda cores: self.latency(layer, schedule, cores, interference),
+            budget_s, self.cpu.cores)
 
     def llc_occupancy(self, layer: LayerSpec, schedule: Schedule,
                       cores: int) -> float:

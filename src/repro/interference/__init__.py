@@ -1,6 +1,5 @@
-"""Interference substrate: system pressure model and the counter proxy."""
+"""Interference substrate: the linear performance-counter proxy."""
 
-from repro.interference.model import InterferenceState, RunningTask
 from repro.interference.proxy import (
     LinearInterferenceProxy,
     PcaReport,
@@ -12,7 +11,6 @@ from repro.interference.proxy import (
 )
 
 __all__ = [
-    "InterferenceState", "RunningTask",
     "LinearInterferenceProxy", "PcaReport", "ProxySample",
     "collect_samples", "fit_proxy", "pca_analysis", "proxy_accuracy",
 ]

@@ -233,9 +233,8 @@ class Engine:
     # pressure / introspection for schedulers
     # ------------------------------------------------------------------
 
-    def pressure(self, exclude_task: int | None = None,
-                 planning: bool = False) -> float:
-        """System pressure, optionally excluding one task.
+    def pressure(self, planning: bool = False) -> float:
+        """System pressure of every running block, capped at 1.0.
 
         With ``planning=True``, blocks whose remaining work fraction is
         at or below the soon-to-finish threshold are ignored (paper
@@ -244,8 +243,6 @@ class Engine:
         """
         total = 0.0
         for block in self.running.values():
-            if block.task_id == exclude_task:
-                continue
             if planning and (1.0 - block.progress
                              <= self.soon_to_finish_threshold):
                 continue
@@ -430,8 +427,8 @@ class Engine:
             return cached
         self.metrics.prices_computed += 1
         duration = block_duration(
-            self.cost_model, block.query, block.start_layer,
-            block.stop_layer, block.versions, block.cores, pressure)
+            self.cost_model, block.query.model, block.start_layer,
+            block.stop_layer, block.versions, block.cores, pressure, batch)
         layers = block.query.model.graph.layers
         misses = 0.0
         accesses = 0.0
@@ -634,17 +631,20 @@ class Engine:
     def _trace_block(self, block: RunningBlock) -> None:
         """Emit the closed block span (tracing enabled only).
 
-        ``iso_s`` is the block's isolated (zero-pressure) duration — it
-        goes through the shared price cache, so the lookup is a pure
-        function of the block key and never perturbs the simulation —
+        ``iso_s`` is the block's isolated (zero-pressure) duration,
         letting summarize recover the interference stall per block as
-        ``dur - iso_s``.
+        ``dur - iso_s``.  It is computed directly, not through
+        :meth:`_price_block`, so a traced run touches neither the price
+        cache nor the pricing counters.
         """
         query = block.query
         args = {
             "layers": [block.start_layer, block.stop_layer],
             "cores": block.cores,
-            "iso_s": self._price_block(block, 0.0)[0],
+            "iso_s": block_duration(
+                self.cost_model, query.model, block.start_layer,
+                block.stop_layer, block.versions, block.cores, 0.0,
+                query.batch),
         }
         if block.had_conflict:
             args["conflict"] = True

@@ -67,27 +67,27 @@ class Query:
         return self.finished_s is not None and self.latency_s <= self.qos_s
 
 
-def block_duration(cost_model: CostModel, query: Query, start: int,
+def block_duration(cost_model: CostModel, model: CompiledModel, start: int,
                    stop: int, versions: tuple[Schedule, ...], cores: int,
-                   interference: float) -> float:
+                   interference: float, batch: int = 1) -> float:
     """Execution time of layers ``[start, stop)`` as one scheduling unit.
 
     One parallel-region spawn for the block, then each layer's kernel with
-    its selected version, plus the fixed per-kernel launch cost.
+    its selected version, plus the fixed per-kernel launch cost.  The
+    whole model (``[0, len)``) at zero interference is its solo latency.
 
-    A fused batch (``query.batch`` > 1) prices each layer at its
-    batch-folded GEMM shape (:func:`repro.models.layers.batched`) while
-    paying the spawn and per-kernel launch overheads *once* for the
-    whole batch — the amortisation that makes dynamic batching pay.
+    A fused batch (``batch`` > 1) prices each layer at its batch-folded
+    GEMM shape (:func:`repro.models.layers.batched`) while paying the
+    spawn and per-kernel launch overheads *once* for the whole batch —
+    the amortisation that makes dynamic batching pay.
     """
-    if not 0 <= start < stop <= len(query.model.layers):
+    if not 0 <= start < stop <= len(model.layers):
         raise ValueError(f"bad block range [{start}, {stop})")
     if len(versions) != stop - start:
         raise ValueError("one version per layer required")
     launch = cost_model.launch_s
     total = cost_model.spawn_overhead(cores)
-    graph_layers = query.model.graph.layers
-    batch = query.batch
+    graph_layers = model.graph.layers
     for offset, layer_index in enumerate(range(start, stop)):
         layer = batched(graph_layers[layer_index], batch)
         total += cost_model.latency(layer, versions[offset], cores,

@@ -13,15 +13,20 @@ and the code versions — which is exactly the design split of paper Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-
-from repro.compiler.costmodel import CostModel
+from repro.compiler.costmodel import CostModel, core_grid, first_fit_cores
 from repro.compiler.library import CompiledModel
 from repro.compiler.schedule import Schedule
 from repro.models.layers import batched
 from repro.runtime.engine import Engine
+from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, block_duration
+
+#: Bound of each scheduler's plan memo.  Entries are deterministic
+#: functions of their keys, so eviction only costs a recompute and never
+#: changes a result.
+PLAN_MEMO_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,16 +48,33 @@ class ModelProfile:
     isolated_service_s: float = 0.0
 
 
-def build_profile(cost_model: CostModel,
-                  compiled: CompiledModel) -> ModelProfile:
-    """Profile a compiled model for scheduling (paper Sec. 4.2 inputs)."""
+def build_profile(cost_model: CostModel, compiled: CompiledModel,
+                  batch: int = 1) -> ModelProfile:
+    """Profile a compiled model for scheduling (paper Sec. 4.2 inputs).
+
+    ``batch`` > 1 profiles fused batch-``batch`` execution.  A batch-B
+    block carries B queries' service demand per layer, so its planning
+    budgets scale ``x B``: the planner targets the same *per-query*
+    throughput as B sequential unit blocks and grants a similar (narrow,
+    core-efficient) width — the batch's amortisation (shared weight
+    traffic, one spawn/launch stream instead of B) then yields strictly
+    cheaper core-seconds per query.  Without the budget scaling a batch
+    block would inherit single-query layer deadlines, be forced to the
+    machine-wide sync-tax regime, and *lose* capacity.  The flip side is
+    honest too: a fused batch's end-to-end latency approaches B unit
+    services, so batching only satisfies QoS targets slack enough to
+    absorb it — exactly the throughput-for-latency trade
+    :class:`repro.runtime.engine.BatchPolicy` opts into.  Static versions
+    do not depend on the batch.
+    """
     versions = tuple(entry.static_version() for entry in compiled.layers)
-    budgets = tuple(entry.qos_budget_s for entry in compiled.layers)
+    budgets = tuple(entry.qos_budget_s * batch for entry in compiled.layers)
     launch = cost_model.launch_s
     required = []
     durations = []
     for layer, version, budget in zip(compiled.graph.layers, versions,
                                       budgets):
+        layer = batched(layer, batch)
         # Provision slightly below the budget: running every layer exactly
         # at its budget edge leaves no room for queueing or interference
         # jitter, which no deployed allocator would do.
@@ -71,101 +93,31 @@ def build_profile(cost_model: CostModel,
     weighted = sum(c * t for c, t in zip(required, durations))
     avg_cores = max(1, round(weighted / total_time))
 
-    model_cores = _model_required_cores(cost_model, compiled, versions)
+    # The whole model as one unit, aligned with the layer-budget margin.
+    model_cores = first_fit_cores(
+        lambda cores: block_duration(cost_model, compiled, 0,
+                                     len(versions), versions, cores, 0.0,
+                                     batch),
+        compiled.qos_s * 0.85 * batch, cost_model.cpu.cores)
     return ModelProfile(
         compiled=compiled,
         static_versions=versions,
         layer_budgets_s=budgets,
         layer_required_cores=tuple(required),
         avg_cores=avg_cores,
-        model_cores=model_cores,
-        isolated_service_s=total_time,
-    )
-
-
-def _model_required_cores(cost_model: CostModel, compiled: CompiledModel,
-                          versions: tuple[Schedule, ...],
-                          batch: int = 1) -> int:
-    """Minimal fixed core count for the whole model to meet its QoS."""
-    launch = cost_model.launch_s
-    # Align with the layer-budget margin; a batch-B unit owns B queries'
-    # worth of the deadline (see batch_profile).
-    target = compiled.qos_s * 0.85 * batch
-    layers = [batched(layer, batch) for layer in compiled.graph.layers]
-
-    def model_latency(cores: int) -> float:
-        total = cost_model.spawn_overhead(cores)
-        for layer, version in zip(layers, versions):
-            total += cost_model.latency(layer, version, cores, 0.0) + launch
-        return total
-
-    cores = 1
-    while cores < cost_model.cpu.cores and model_latency(cores) > target:
-        cores *= 2
-    cores = min(cores, cost_model.cpu.cores)
-    lower = max(1, cores // 2)
-    for candidate in range(lower, cores + 1):
-        if model_latency(candidate) <= target:
-            return candidate
-    return cores
-
-
-def batch_profile(cost_model: CostModel, profile: ModelProfile,
-                  batch: int) -> ModelProfile:
-    """Re-profile a model for fused batch-``batch`` execution.
-
-    A batch-B block carries B queries' service demand per layer, so its
-    planning budgets scale ``x B``: the planner targets the same
-    *per-query* throughput as B sequential unit blocks and grants a
-    similar (narrow, core-efficient) width — the batch's amortisation
-    (shared weight traffic, one spawn/launch stream instead of B) then
-    yields strictly cheaper core-seconds per query.  Without the budget
-    scaling a batch block would inherit single-query layer deadlines,
-    be forced to the machine-wide sync-tax regime, and *lose* capacity.
-    The flip side is honest too: a fused batch's end-to-end latency
-    approaches B unit services, so batching only satisfies QoS targets
-    slack enough to absorb it — exactly the throughput-for-latency
-    trade :class:`repro.runtime.engine.BatchPolicy` opts into.
-    Static versions and the compiled model are unchanged.
-    """
-    if batch <= 1:
-        return profile
-    compiled = profile.compiled
-    versions = profile.static_versions
-    launch = cost_model.launch_s
-    budgets = tuple(b * batch for b in profile.layer_budgets_s)
-    required = []
-    durations = []
-    for layer, version, budget in zip(compiled.graph.layers, versions,
-                                      budgets):
-        fat = batched(layer, batch)
-        cores = cost_model.required_cores(fat, version,
-                                          max(budget * 0.85 - launch, 1e-7))
-        if cores is None:
-            cores = cost_model.cpu.cores
-        required.append(cores)
-        durations.append(cost_model.latency(fat, version, cores, 0.0)
-                         + launch)
-    total_time = sum(durations)
-    weighted = sum(c * t for c, t in zip(required, durations))
-    return replace(
-        profile,
-        layer_budgets_s=budgets,
-        layer_required_cores=tuple(required),
-        avg_cores=max(1, round(weighted / total_time)),
-        model_cores=_model_required_cores(cost_model, compiled, versions,
-                                          batch=batch),
+        model_cores=model_cores or cost_model.cpu.cores,
         isolated_service_s=total_time,
     )
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """A policy's decision for one dispatch."""
+    """A policy's decision for one dispatch: where the block ends, how
+    many cores it wants, and which code version each layer runs.  The
+    driver grants ``min(desired_cores, available)``."""
 
     stop_layer: int
     desired_cores: int
-    take_cores: int
     versions: tuple[Schedule, ...]
 
 
@@ -186,11 +138,6 @@ class SpatialScheduler:
     #: instead of starting under-allocated (continuation blocks always
     #: proceed — stalling mid-model wastes the work already done).
     admit_full_grant_only = False
-    #: A continuation block starts under-allocated only when it gets at
-    #: least this fraction of its demand (0 = always start on whatever is
-    #: free).  Single-layer units must keep crawling-and-growing — that is
-    #: the paper's measured conflict behaviour — so the default is off.
-    min_start_fraction = 0.0
     #: Conflicted blocks grow in chunks of at least this many cores (or
     #: the full deficit) — growing one core at a time re-prices the whole
     #: machine for no benefit.
@@ -203,7 +150,11 @@ class SpatialScheduler:
         #: Batch-scaled profile variants, built on first use per
         #: (model, batch) — fused batches are few and their sizes
         #: bounded by ``BatchPolicy.max_batch``, so this stays tiny.
-        self._batch_profiles: dict[tuple[str, int], ModelProfile] = {}
+        self._batched_profiles: dict[tuple[str, int], ModelProfile] = {}
+        #: The plan memo behind :meth:`layer_cores` and
+        #: :meth:`block_cores`.  Their keys are 4- and 5/6-tuples, so the
+        #: two calls never collide.
+        self._plan_memo = PricingCache(max_entries=PLAN_MEMO_ENTRIES)
         #: Repricing rounds that actually changed a block's rate, as
         #: reported by :meth:`on_pressure_change`.
         self.pressure_changes = 0
@@ -233,11 +184,60 @@ class SpatialScheduler:
         if query.batch <= 1:
             return profile
         key = (query.model.name, query.batch)
-        scaled = self._batch_profiles.get(key)
+        scaled = self._batched_profiles.get(key)
         if scaled is None:
-            scaled = batch_profile(self.cost_model, profile, query.batch)
-            self._batch_profiles[key] = scaled
+            scaled = build_profile(self.cost_model, profile.compiled,
+                                   query.batch)
+            self._batched_profiles[key] = scaled
         return scaled
+
+    # -- sizing (the plan memo) ----------------------------------------------
+
+    def layer_cores(self, profile: ModelProfile, index: int,
+                    version: Schedule, pressure: float) -> int:
+        """Cores for layer ``index`` to meet its budget under ``pressure``.
+
+        The per-layer sizing call of the interference-adaptive policies:
+        ``version`` is the code version picked for ``pressure``, and an
+        infeasible budget takes the whole machine.  Memoised on (layer
+        signature, version, budget, pressure).
+        """
+        layer = profile.compiled.graph.layers[index]
+        budget = profile.layer_budgets_s[index]
+        key = (layer.signature, version, budget, pressure)
+        cores = self._plan_memo.get(key)
+        if cores is None:
+            cost_model = self.cost_model
+            cores = cost_model.required_cores(
+                layer, version, max(budget - cost_model.launch_s, 1e-7),
+                pressure) or cost_model.cpu.cores
+            self._plan_memo.put(key, cores)
+        return cores
+
+    def block_cores(self, query: Query, start: int, stop: int,
+                    versions: tuple[Schedule, ...], budget_s: float,
+                    pressure: float = 0.0, cap: int | None = None) -> int:
+        """Cores for layers ``[start, stop)`` of ``query`` as one block
+        (see :func:`block_required_cores`).
+
+        Memoised on ``(model, start, stop, pressure, cap)``, plus the
+        batch when it is > 1.  The key leaves out ``versions`` and
+        ``budget_s``: a policy must derive both from the keyed values
+        alone, so that within one scheduler they are functions of the
+        key.  Every policy here does — versions come from the model and
+        the pressure, budgets from the model's (batch) profile and a
+        fixed per-scheduler headroom.
+        """
+        key = (query.model.name, start, stop, pressure, cap)
+        if query.batch > 1:
+            key = key + (query.batch,)
+        cores = self._plan_memo.get(key)
+        if cores is None:
+            cores = block_required_cores(
+                self.cost_model, query.model, start, stop, versions,
+                budget_s, interference=pressure, cap=cap, batch=query.batch)
+            self._plan_memo.put(key, cores)
+        return cores
 
     # -- driver ---------------------------------------------------------------
 
@@ -247,27 +247,25 @@ class SpatialScheduler:
         for queue in (engine.ready, engine.waiting):
             is_new_arrivals = queue is engine.waiting
             while queue:
-                if engine.allocator.available <= 0:
+                available = engine.allocator.available
+                if available <= 0:
                     return
                 plan = self.plan(engine, queue[0])
-                if plan is None or plan.take_cores <= 0:
+                if plan is None:
                     break  # FCFS head-of-line wait
+                grant = min(plan.desired_cores, available)
                 if (is_new_arrivals and self.admit_full_grant_only
-                        and plan.take_cores < plan.desired_cores):
+                        and grant < plan.desired_cores):
                     break  # admission control: wait for the full grant
-                if (not is_new_arrivals
-                        and plan.take_cores < plan.desired_cores
-                        * self.min_start_fraction):
-                    break  # too few cores to be worth starting on
                 query = queue.popleft()
                 if engine.tracer is not None:
-                    self._trace_dispatch(engine, query, plan)
-                engine.start_block(query, plan.stop_layer, plan.take_cores,
+                    self._trace_dispatch(engine, query, plan, grant)
+                engine.start_block(query, plan.stop_layer, grant,
                                    plan.versions,
                                    desired_cores=plan.desired_cores)
 
     def _trace_dispatch(self, engine: Engine, query: Query,
-                        plan: BlockPlan) -> None:
+                        plan: BlockPlan, grant: int) -> None:
         """Record one dispatch decision (tracing enabled only).
 
         Captures the plan (block boundary, demand vs grant, the picked
@@ -281,7 +279,7 @@ class SpatialScheduler:
                     else engine.pressure(planning=True))
         args = {"stop_layer": plan.stop_layer,
                 "desired": plan.desired_cores,
-                "granted": plan.take_cores,
+                "granted": grant,
                 "pressure": pressure,
                 "parallelism": (plan.versions[0].parallelism
                                 if plan.versions else 0)}
@@ -310,35 +308,28 @@ class SpatialScheduler:
             engine.grow_block(block.task_id, extra)
 
 
-def block_required_cores(cost_model: CostModel, query: Query, start: int,
-                         stop: int, versions: tuple[Schedule, ...],
-                         budget_s: float, interference: float = 0.0,
-                         cap: int | None = None) -> int:
+def block_required_cores(cost_model: CostModel, model: CompiledModel,
+                         start: int, stop: int,
+                         versions: tuple[Schedule, ...], budget_s: float,
+                         interference: float = 0.0, cap: int | None = None,
+                         batch: int = 1) -> int:
     """Minimal cores so the block finishes within ``budget_s``.
 
-    Mirrors :meth:`CostModel.required_cores` at block granularity (spawn
-    and launch overheads included).  When the budget is infeasible the
-    cap (or machine size) is returned — the scheduler then runs the block
-    as fast as the cap allows.
+    :func:`~repro.compiler.costmodel.first_fit_cores` over
+    :func:`~repro.runtime.tasks.block_duration` (spawn and launch
+    overheads included), limited to the cap (or machine size).  When the
+    budget is infeasible under that limit the latency-minimising grid
+    point is returned — the scheduler then runs the block as fast as the
+    cap allows.
     """
     limit = cap if cap is not None else cost_model.cpu.cores
     limit = max(1, min(limit, cost_model.cpu.cores))
 
     def duration(cores: int) -> float:
-        return block_duration(cost_model, query, start, stop, versions,
-                              cores, interference)
+        return block_duration(cost_model, model, start, stop, versions,
+                              cores, interference, batch)
 
-    # Latency over cores is U-shaped (sync tax), so probe a geometric
-    # grid and refine the first feasible point backwards.
-    grid = [c for c in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
-            if c < limit] + [limit]
-    previous = 1
-    for cores in grid:
-        if duration(cores) <= budget_s:
-            for candidate in range(previous, cores):
-                if duration(candidate) <= budget_s:
-                    return candidate
-            return cores
-        previous = cores
-    # Infeasible under the cap: run at the latency-minimising grid point.
-    return min(grid, key=duration)
+    cores = first_fit_cores(duration, budget_s, limit)
+    if cores is None:
+        cores = min(core_grid(limit), key=duration)
+    return cores

@@ -19,23 +19,8 @@ This scheduler with static versions is the VELTAIR-AS configuration.
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import (
-    BlockPlan,
-    ModelProfile,
-    SpatialScheduler,
-    block_required_cores,
-)
-
-#: Default bound for the planning memos (block requirements, per-layer
-#: required cores).  Shared by every scheduler that keys plans on
-#: (signature, version, budget, pressure) tuples, and plumbed through
-#: :class:`~repro.serving.server.ServingStack` as ``plan_cache_entries``
-#: so one knob bounds the whole stack's schedulers.  Keyspace size only
-#: affects recompute frequency, never results (entries are
-#: deterministic functions of their keys).
-DEFAULT_PLAN_CACHE_ENTRIES = 1 << 16
+from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
 
 
 class ProportionalThresholdPolicy:
@@ -89,9 +74,7 @@ class DynamicBlockScheduler(SpatialScheduler):
 
     def __init__(self, cost_model, profiles,
                  threshold_policy: ProportionalThresholdPolicy | None = None,
-                 budget_headroom: float = 0.8,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
+                 budget_headroom: float = 0.8) -> None:
         super().__init__(cost_model, profiles)
         self.threshold_policy = (threshold_policy
                                  or ProportionalThresholdPolicy())
@@ -102,8 +85,6 @@ class DynamicBlockScheduler(SpatialScheduler):
         if not 0.0 < budget_headroom <= 1.0:
             raise ValueError("budget_headroom must be in (0, 1]")
         self.budget_headroom = budget_headroom
-        self._block_req_cache = PricingCache(
-            max_entries=plan_cache_entries)
 
     # -- version/requirement hooks (overridden by the full scheduler) -----
 
@@ -141,9 +122,6 @@ class DynamicBlockScheduler(SpatialScheduler):
         return len(query.model.layers)
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         profile = self.profile_for(query)
         pressure = self.planning_pressure(engine)
         threshold = self.threshold_policy.threshold_for(self, engine, query)
@@ -156,20 +134,7 @@ class DynamicBlockScheduler(SpatialScheduler):
                          for i in range(start, stop))
         budget = (sum(profile.layer_budgets_s[start:stop])
                   * self.budget_headroom)
-        key = (query.model.name, start, stop, versions, cap, pressure)
-        if query.batch > 1:
-            # Fused batches price against batch-folded layers; a longer
-            # tuple cannot collide with any unit-batch key.
-            key = key + (query.batch,)
-        desired = self._block_req_cache.get(key)
-        if desired is None:
-            desired = block_required_cores(
-                self.cost_model, query, start, stop, versions, budget,
-                interference=pressure, cap=cap)
-            self._block_req_cache.put(key, desired)
-        return BlockPlan(
-            stop_layer=stop,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=versions,
-        )
+        desired = self.block_cores(query, start, stop, versions, budget,
+                                   pressure=pressure, cap=cap)
+        return BlockPlan(stop_layer=stop, desired_cores=desired,
+                         versions=versions)

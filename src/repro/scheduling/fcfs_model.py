@@ -25,9 +25,6 @@ class ModelWiseFcfs(SpatialScheduler):
         need = profile.model_cores
         if engine.allocator.available < need:
             return None  # head-of-line wait; not a scheduling conflict
-        return BlockPlan(
-            stop_layer=len(query.model.layers),
-            desired_cores=need,
-            take_cores=need,
-            versions=profile.static_versions,
-        )
+        return BlockPlan(stop_layer=len(query.model.layers),
+                         desired_cores=need,
+                         versions=profile.static_versions)

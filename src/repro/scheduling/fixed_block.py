@@ -10,14 +10,8 @@ dynamic blocks of :mod:`repro.scheduling.dynamic_block`.
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import (
-    BlockPlan,
-    SpatialScheduler,
-    block_required_cores,
-)
-from repro.scheduling.dynamic_block import DEFAULT_PLAN_CACHE_ENTRIES
+from repro.scheduling.base import BlockPlan, SpatialScheduler
 
 
 class FixedBlockScheduler(SpatialScheduler):
@@ -26,40 +20,18 @@ class FixedBlockScheduler(SpatialScheduler):
     allow_grow = True
     admit_full_grant_only = True
 
-    def __init__(self, cost_model, profiles, block_size: int,
-                 plan_cache_entries: int | None = None) -> None:
+    def __init__(self, cost_model, profiles, block_size: int) -> None:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         super().__init__(cost_model, profiles)
         self.block_size = block_size
-        # Keyed on (model, start, stop) only — pressure-free static
-        # planning — so the keyspace is small; bounded anyway for the
-        # same reason as every planning memo (see dynamic_block).
-        self._required_cache = PricingCache(
-            max_entries=(plan_cache_entries if plan_cache_entries
-                         is not None else DEFAULT_PLAN_CACHE_ENTRIES))
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         profile = self.profile_for(query)
         start = query.next_layer
         stop = min(start + self.block_size, len(query.model.layers))
         versions = profile.static_versions[start:stop]
-
-        key = (query.model.name, start, stop)
-        if query.batch > 1:
-            key = key + (query.batch,)
-        desired = self._required_cache.get(key)
-        if desired is None:
-            budget = sum(profile.layer_budgets_s[start:stop])
-            desired = block_required_cores(
-                self.cost_model, query, start, stop, versions, budget)
-            self._required_cache.put(key, desired)
-        return BlockPlan(
-            stop_layer=stop,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=versions,
-        )
+        desired = self.block_cores(query, start, stop, versions,
+                                   sum(profile.layer_budgets_s[start:stop]))
+        return BlockPlan(stop_layer=stop, desired_cores=desired,
+                         versions=versions)

@@ -21,14 +21,8 @@ in fractions of the device's parallel width.
 from __future__ import annotations
 
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import (
-    BlockPlan,
-    SpatialScheduler,
-    block_required_cores,
-)
-from repro.scheduling.dynamic_block import DEFAULT_PLAN_CACHE_ENTRIES
+from repro.scheduling.base import BlockPlan, SpatialScheduler
 
 
 class GacerScheduler(SpatialScheduler):
@@ -41,8 +35,7 @@ class GacerScheduler(SpatialScheduler):
                  max_concurrency: int | None = None,
                  window: int = 16,
                  coarse_block: int = 12,
-                 budget_headroom: float = 0.8,
-                 plan_cache_entries: int | None = None) -> None:
+                 budget_headroom: float = 0.8) -> None:
         super().__init__(cost_model, profiles)
         width = cost_model.cpu.cores
         if max_concurrency is None:
@@ -65,9 +58,6 @@ class GacerScheduler(SpatialScheduler):
         self._last_completed = 0
         self._last_mark_s = 0.0
         self._last_rate: float | None = None
-        self._required_cache = PricingCache(
-            max_entries=(plan_cache_entries if plan_cache_entries
-                         is not None else DEFAULT_PLAN_CACHE_ENTRIES))
 
     @property
     def block_layers(self) -> int:
@@ -102,9 +92,6 @@ class GacerScheduler(SpatialScheduler):
     # -- planning ------------------------------------------------------------
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         self._regulate(engine)
         active = {block.query.query_id for block in engine.running.values()}
         if len(active) >= self.concurrency and query.query_id not in active:
@@ -118,20 +105,9 @@ class GacerScheduler(SpatialScheduler):
         # budget headroom keeps the grant slightly ahead of the deadline
         # so regulation, not per-layer auctions, absorbs jitter.
         cap = max(1, self.cost_model.cpu.cores // self.concurrency)
-        key = (query.model.name, start, stop, self.concurrency)
-        if query.batch > 1:
-            key = key + (query.batch,)
-        desired = self._required_cache.get(key)
-        if desired is None:
-            budget = (sum(profile.layer_budgets_s[start:stop])
-                      * self.budget_headroom)
-            desired = block_required_cores(
-                self.cost_model, query, start, stop, versions, budget,
-                cap=cap)
-            self._required_cache.put(key, desired)
-        return BlockPlan(
-            stop_layer=stop,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=versions,
-        )
+        budget = (sum(profile.layer_budgets_s[start:stop])
+                  * self.budget_headroom)
+        desired = self.block_cores(query, start, stop, versions, budget,
+                                   cap=cap)
+        return BlockPlan(stop_layer=stop, desired_cores=desired,
+                         versions=versions)

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from repro.interference.proxy import estimate_system_pressure
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
-from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
-from repro.scheduling.dynamic_block import DEFAULT_PLAN_CACHE_ENTRIES
+from repro.scheduling.base import BlockPlan, SpatialScheduler
 
 
 class LayerWiseScheduler(SpatialScheduler):
@@ -27,18 +25,11 @@ class LayerWiseScheduler(SpatialScheduler):
     allow_grow = True
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
         profile = self.profile_for(query)
         index = query.next_layer
-        desired = profile.layer_required_cores[index]
-        return BlockPlan(
-            stop_layer=index + 1,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=(profile.static_versions[index],),
-        )
+        return BlockPlan(stop_layer=index + 1,
+                         desired_cores=profile.layer_required_cores[index],
+                         versions=(profile.static_versions[index],))
 
 
 class AdaptiveCompilationOnly(LayerWiseScheduler):
@@ -51,52 +42,22 @@ class AdaptiveCompilationOnly(LayerWiseScheduler):
 
     admit_full_grant_only = True
 
-    def __init__(self, cost_model, profiles, proxy=None,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
-                 ) -> None:
+    def __init__(self, cost_model, profiles, proxy=None) -> None:
         super().__init__(cost_model, profiles)
         self.proxy = proxy
-        # Bounded like every planning memo (see DynamicBlockScheduler):
-        # the keyspace grows with the stream, the cache must not.
-        self._required_cache = PricingCache(
-            max_entries=plan_cache_entries)
 
     def interference_estimate(self, engine: Engine) -> float:
         return estimate_system_pressure(engine, self.proxy)
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
-        available = engine.allocator.available
-        if available <= 0:
-            return None
-        profile = self.profile_for(query)
         index = query.next_layer
         # Quantize with the engine's pricing quantum (not a hard-coded
         # rounding): finer keys than pricing resolves only fragment the
         # version/core-requirement caches.
         pressure = engine.quantize_pressure(
             self.interference_estimate(engine))
-        entry = query.model.layers[index]
-        version = entry.version_for(pressure)
-        desired = self._required_cores(profile, index, version, pressure)
-        return BlockPlan(
-            stop_layer=index + 1,
-            desired_cores=desired,
-            take_cores=min(desired, available),
-            versions=(version,),
-        )
-
-    def _required_cores(self, profile: ModelProfile, index: int, version,
-                        pressure: float) -> int:
-        layer = profile.compiled.graph.layers[index]
-        key = (layer.signature, version, profile.layer_budgets_s[index],
-               pressure)
-        cached = self._required_cache.get(key)
-        if cached is None:
-            launch = self.cost_model.launch_s
-            budget = max(profile.layer_budgets_s[index] - launch, 1e-7)
-            cached = self.cost_model.required_cores(layer, version, budget,
-                                                    pressure)
-            if cached is None:
-                cached = self.cost_model.cpu.cores
-            self._required_cache.put(key, cached)
-        return cached
+        version = query.model.layers[index].version_for(pressure)
+        desired = self.layer_cores(self.profile_for(query), index, version,
+                                   pressure)
+        return BlockPlan(stop_layer=index + 1, desired_cores=desired,
+                         versions=(version,))

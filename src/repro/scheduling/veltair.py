@@ -16,11 +16,9 @@ from repro.interference.proxy import (
     estimate_system_pressure,
 )
 from repro.runtime.engine import Engine
-from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query
 from repro.scheduling.base import ModelProfile
 from repro.scheduling.dynamic_block import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
     DynamicBlockScheduler,
     ProportionalThresholdPolicy,
 )
@@ -32,19 +30,10 @@ class VeltairScheduler(DynamicBlockScheduler):
     def __init__(self, cost_model, profiles,
                  proxy: LinearInterferenceProxy | None = None,
                  threshold_policy: ProportionalThresholdPolicy | None = None,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
                  ) -> None:
         super().__init__(cost_model, profiles,
-                         threshold_policy=threshold_policy,
-                         plan_cache_entries=plan_cache_entries)
+                         threshold_policy=threshold_policy)
         self.proxy = proxy
-        # Size-bounded like the engine's PricingCache: long serve loops
-        # and cluster sweeps hit this with every (signature, version,
-        # budget, pressure) combination the stream produces, and an
-        # unbounded dict grows without limit.  Eviction only costs a
-        # deterministic recompute, so results are unchanged.
-        self._required_cache = PricingCache(
-            max_entries=plan_cache_entries)
 
     def planning_pressure(self, engine: Engine) -> float:
         """Current interference estimate, quantised for cache reuse.
@@ -64,16 +53,4 @@ class VeltairScheduler(DynamicBlockScheduler):
 
     def required_cores_for(self, profile: ModelProfile, index: int,
                            version, pressure: float) -> int:
-        layer = profile.compiled.graph.layers[index]
-        key = (layer.signature, version,
-               profile.layer_budgets_s[index], pressure)
-        cached = self._required_cache.get(key)
-        if cached is None:
-            launch = self.cost_model.launch_s
-            budget = max(profile.layer_budgets_s[index] - launch, 1e-7)
-            cached = self.cost_model.required_cores(layer, version, budget,
-                                                    pressure)
-            if cached is None:
-                cached = self.cost_model.cpu.cores
-            self._required_cache.put(key, cached)
-        return cached
+        return self.layer_cores(profile, index, version, pressure)

@@ -39,12 +39,9 @@ from repro.interference.proxy import (
 from repro.models.registry import get_entry, get_model, model_names
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.pricing import PricingCache
-from repro.runtime.tasks import Query
+from repro.runtime.tasks import Query, block_duration
 from repro.scheduling.base import ModelProfile, build_profile
-from repro.scheduling.dynamic_block import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
-    DynamicBlockScheduler,
-)
+from repro.scheduling.dynamic_block import DynamicBlockScheduler
 from repro.scheduling.fcfs_model import ModelWiseFcfs
 from repro.scheduling.fixed_block import FixedBlockScheduler
 from repro.scheduling.gacer import GacerScheduler
@@ -172,8 +169,6 @@ class ServingStack:
                  use_proxy: bool = True,
                  proxy_scenarios: int = 240,
                  seed: int = DEFAULT_SEED,
-                 price_cache_entries: int = 1 << 18,
-                 plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES,
                  artifact_store: ArtifactStore | str | Path | None = "auto",
                  compile_workers: int | None = None) -> None:
         self.cpu = cpu or THREADRIPPER_3990X
@@ -181,13 +176,9 @@ class ServingStack:
         #: Block pricing memo shared by every engine this stack builds:
         #: identical blocks recur across the runs of a QPS sweep, so the
         #: warm cache eliminates most cost-model pricing calls.  Size is
-        #: bounded by ``price_cache_entries`` (batched FIFO eviction).
-        self.price_cache = PricingCache(max_entries=price_cache_entries)
-        #: Bound for the per-scheduler planning memos (required-core and
-        #: block-requirement lookups); one knob for every scheduler
-        #: this stack builds, so long serve loops and cluster sweeps
-        #: hold their steady-state footprint.
-        self.plan_cache_entries = plan_cache_entries
+        #: bounded by the :class:`PricingCache` default (batched FIFO
+        #: eviction).
+        self.price_cache = PricingCache()
         if compile_workers is None:
             compile_workers = int(os.environ.get("REPRO_COMPILE_WORKERS",
                                                  "1"))
@@ -322,9 +313,7 @@ class ServingStack:
             proxy = (self._fit_proxy(cost_model)
                      if self._use_proxy else None)
             runtime = NodeRuntime(
-                cpu=cpu, cost_model=cost_model,
-                price_cache=PricingCache(
-                    max_entries=self.price_cache.max_entries),
+                cpu=cpu, cost_model=cost_model, price_cache=PricingCache(),
                 profiles=profiles, fit_proxy=lambda: proxy)
         self._runtimes[cpu] = runtime
         return runtime
@@ -346,29 +335,21 @@ class ServingStack:
             return PremaScheduler(cost_model, profiles)
         if policy.startswith("block"):
             size = int(policy.removeprefix("block"))
-            return FixedBlockScheduler(
-                cost_model, profiles, block_size=size,
-                plan_cache_entries=self.plan_cache_entries)
+            return FixedBlockScheduler(cost_model, profiles, block_size=size)
         if policy == "veltair_as":
-            return DynamicBlockScheduler(
-                cost_model, profiles,
-                plan_cache_entries=self.plan_cache_entries)
+            return DynamicBlockScheduler(cost_model, profiles)
         if policy == "gacer":
-            return GacerScheduler(
-                cost_model, profiles,
-                plan_cache_entries=self.plan_cache_entries)
+            return GacerScheduler(cost_model, profiles)
         # Only the proxy-driven policies read the proxy — referencing
         # ``self.proxy`` here would trigger the lazy fit for everyone.
         if policy == "veltair_ac":
             return AdaptiveCompilationOnly(
                 cost_model, profiles,
-                proxy=runtime.proxy if runtime else self.proxy,
-                plan_cache_entries=self.plan_cache_entries)
+                proxy=runtime.proxy if runtime else self.proxy)
         if policy == "veltair_full":
             return VeltairScheduler(
                 cost_model, profiles,
-                proxy=runtime.proxy if runtime else self.proxy,
-                plan_cache_entries=self.plan_cache_entries)
+                proxy=runtime.proxy if runtime else self.proxy)
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
 
     def run(self, policy: str, queries: list[Query],
@@ -451,12 +432,7 @@ class ServingStack:
                                cores: int | None = None) -> float:
         """Solo-run latency: the model alone on the machine (Fig. 13 base)."""
         compiled = self.compiled[name]
-        profile = self.profiles[name]
-        cores = cores if cores is not None else self.cpu.cores
-        launch = self.cost_model.launch_s
-        total = self.cost_model.spawn_overhead(cores)
-        for layer, version in zip(compiled.graph.layers,
-                                  profile.static_versions):
-            total += self.cost_model.latency(layer, version, cores,
-                                             0.0) + launch
-        return total
+        return block_duration(
+            self.cost_model, compiled, 0, len(compiled.layers),
+            self.profiles[name].static_versions,
+            cores if cores is not None else self.cpu.cores, 0.0)

@@ -19,7 +19,6 @@ from repro.cluster import (
     sweep_autoscale,
 )
 from repro.hardware.platform import THREADRIPPER_3990X
-from repro.serving.server import ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
@@ -300,7 +299,8 @@ class TestAutoscaleServe:
 
 
 class TestPlanCacheBound:
-    """Satellite fix: the scheduler planning memos are size-capped."""
+    """The scheduler plan memo is size-capped; eviction never changes
+    results."""
 
     def test_required_cache_bounded_and_results_identical(self,
                                                           light_stack):
@@ -310,6 +310,7 @@ class TestPlanCacheBound:
                                      120, seed=4, spec=MIX)
 
         from repro.runtime.engine import Engine
+        from repro.runtime.pricing import PricingCache
         from repro.scheduling.veltair import VeltairScheduler
 
         unbounded = VeltairScheduler(light_stack.cost_model,
@@ -317,29 +318,18 @@ class TestPlanCacheBound:
         engine_a = Engine(light_stack.cost_model,
                           price_cache=light_stack.price_cache)
         done_a = engine_a.run(queries_a, unbounded)
-        assert len(unbounded._required_cache) > 8  # the memo is live
+        assert len(unbounded._plan_memo) > 8  # the memo is live
 
         tiny = VeltairScheduler(light_stack.cost_model,
-                                light_stack.profiles, proxy=None,
-                                plan_cache_entries=8)
+                                light_stack.profiles, proxy=None)
+        tiny._plan_memo = PricingCache(max_entries=8)
         engine_b = Engine(light_stack.cost_model,
                           price_cache=light_stack.price_cache)
         done_b = engine_b.run(queries_b, tiny)
         # Steady state: the capped memo never exceeds its bound, and
         # eviction only forces recomputes — results are bit-identical.
-        assert len(tiny._required_cache) <= 8
-        assert len(tiny._block_req_cache) <= 8
-        assert tiny._required_cache.evictions > 0
+        assert len(tiny._plan_memo) <= 8
+        assert tiny._plan_memo.evictions > 0
         finished_a = {q.query_id: q.finished_s for q in done_a}
         finished_b = {q.query_id: q.finished_s for q in done_b}
         assert finished_a == finished_b
-
-    def test_stack_knob_reaches_schedulers(self):
-        stack = ServingStack(models=["mobilenet_v2"], trials=64,
-                             use_proxy=False, plan_cache_entries=32)
-        for policy in ("veltair_full", "veltair_as", "veltair_ac"):
-            scheduler = stack.make_scheduler(policy)
-            cache = getattr(scheduler, "_required_cache", None)
-            if cache is None:
-                cache = scheduler._block_req_cache
-            assert cache.max_entries == 32

@@ -190,7 +190,7 @@ class TestIncrementalDrive:
         scheduler = VeltairScheduler(light_stack.cost_model,
                                      light_stack.profiles, proxy=None)
         engine = Engine(light_stack.cost_model, pressure_quantum=0.2)
-        engine.pressure = lambda exclude_task=None, planning=False: 0.237
+        engine.pressure = lambda planning=False: 0.237
         assert scheduler.planning_pressure(engine) == pytest.approx(0.2)
 
 

@@ -1,9 +1,8 @@
-"""Interference state, counters, PCA, and linear-proxy tests."""
+"""Counter, PCA, and linear-proxy tests."""
 
 import pytest
 
 from repro.hardware.counters import COUNTER_NAMES, counters_from_execution
-from repro.interference.model import InterferenceState, RunningTask
 from repro.interference.proxy import (
     collect_aggregate_samples,
     collect_samples,
@@ -12,49 +11,6 @@ from repro.interference.proxy import (
     proxy_accuracy,
 )
 from repro.compiler.space import ScheduleSpace
-
-
-class TestRunningTask:
-    def test_rejects_out_of_range_pressure(self):
-        with pytest.raises(ValueError):
-            RunningTask(task_id=1, pressure=1.5)
-
-    def test_rejects_bad_remaining(self):
-        with pytest.raises(ValueError):
-            RunningTask(task_id=1, pressure=0.5, remaining_fraction=-0.1)
-
-
-class TestInterferenceState:
-    def _state(self):
-        state = InterferenceState()
-        state.add(RunningTask(task_id=1, pressure=0.3))
-        state.add(RunningTask(task_id=2, pressure=0.4))
-        return state
-
-    def test_excludes_self(self):
-        state = self._state()
-        assert state.pressure_for(1) == pytest.approx(0.4)
-        assert state.pressure_for(2) == pytest.approx(0.3)
-
-    def test_newcomer_sees_everything(self):
-        assert self._state().pressure_for(None) == pytest.approx(0.7)
-
-    def test_caps_at_one(self):
-        state = self._state()
-        state.add(RunningTask(task_id=3, pressure=0.9))
-        assert state.pressure_for(None) == 1.0
-
-    def test_soon_to_finish_filter(self):
-        state = self._state()
-        state.update_remaining(2, 0.05)  # below the 10% threshold
-        assert state.pressure_for(1, planning=True) == pytest.approx(0.0)
-        assert state.pressure_for(1, planning=False) == pytest.approx(0.4)
-
-    def test_remove(self):
-        state = self._state()
-        state.remove(1)
-        assert len(state) == 1
-        assert state.total_pressure() == pytest.approx(0.4)
 
 
 class TestCounters:

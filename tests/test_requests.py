@@ -20,7 +20,7 @@ from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.tasks import Query
-from repro.scheduling.base import batch_profile
+from repro.scheduling.base import build_profile
 from repro.serving import WorkloadSpec
 from repro.serving.server import ServingStack
 from repro.serving.workload import poisson_queries
@@ -395,11 +395,13 @@ class TestFleetOfOne:
 class TestBatchProfiles:
     def test_budgets_scale_with_batch(self, light_stack):
         unit = light_stack.profiles["mobilenet_v2"]
-        fat = batch_profile(light_stack.cost_model, unit, 4)
+        fat = build_profile(light_stack.cost_model, unit.compiled, 4)
         assert fat.layer_budgets_s == tuple(b * 4
                                             for b in unit.layer_budgets_s)
         assert fat.isolated_service_s > unit.isolated_service_s
-        assert batch_profile(light_stack.cost_model, unit, 1) is unit
+        assert fat.static_versions == unit.static_versions
+        assert build_profile(light_stack.cost_model, unit.compiled,
+                             1) == unit
 
     def test_profile_for_memoises_per_batch(self, light_stack):
         scheduler = light_stack.make_scheduler("veltair_full")

@@ -91,23 +91,24 @@ class TestBlockDuration:
     def test_rejects_bad_range(self, resnet_stack):
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
         with pytest.raises(ValueError):
-            block_duration(resnet_stack.cost_model, queries[0], 5, 5,
-                           (), 8, 0.0)
+            block_duration(resnet_stack.cost_model, queries[0].model, 5,
+                           5, (), 8, 0.0)
 
     def test_rejects_version_mismatch(self, resnet_stack):
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
         profile = resnet_stack.profiles["resnet50"]
         with pytest.raises(ValueError):
-            block_duration(resnet_stack.cost_model, queries[0], 0, 3,
-                           profile.static_versions[0:2], 8, 0.0)
+            block_duration(resnet_stack.cost_model, queries[0].model, 0,
+                           3, profile.static_versions[0:2], 8, 0.0)
 
     def test_block_slower_under_interference(self, resnet_stack):
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
         profile = resnet_stack.profiles["resnet50"]
         versions = profile.static_versions[0:5]
-        quiet = block_duration(resnet_stack.cost_model, queries[0], 0, 5,
+        model = queries[0].model
+        quiet = block_duration(resnet_stack.cost_model, model, 0, 5,
                                versions, 16, 0.0)
-        noisy = block_duration(resnet_stack.cost_model, queries[0], 0, 5,
+        noisy = block_duration(resnet_stack.cost_model, model, 0, 5,
                                versions, 16, 0.9)
         assert noisy > quiet
 
@@ -160,6 +161,14 @@ class TestEngine:
         engine = Engine(resnet_stack.cost_model)
         assert engine.pressure() == 0.0
         assert engine.system_counters() == (0.0, 0.0)
+
+    def test_pressure_caps_at_one(self, resnet_stack):
+        engine = Engine(resnet_stack.cost_model)
+        for _ in range(2):
+            task_id = _start_one_block(resnet_stack, engine)
+            engine.running[task_id].pressure = 0.7
+        assert engine.pressure() == 1.0
+        assert engine.pressure(planning=True) == 1.0
 
     def test_grow_block(self, resnet_stack):
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -10,12 +11,13 @@ from repro.cluster import Cluster, homogeneous
 from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.spec import NodeSpec
 from repro.hardware.platform import THREADRIPPER_3990X
-from repro.runtime.engine import SimulationMetrics
+from repro.runtime.engine import Engine, SimulationMetrics
+from repro.runtime.pricing import PricingCache
 from repro.serving.metrics import (
     max_qps_at_satisfaction,
     summarize,
 )
-from repro.serving.workload import WorkloadSpec
+from repro.serving.workload import WorkloadSpec, poisson_queries
 from repro.telemetry import (
     TRACE_DIR_ENV,
     TRACE_SCHEMA,
@@ -110,6 +112,20 @@ class TestTracedRun:
     def test_tracing_leaves_report_bit_identical(self, traced_run):
         _, report, report_off = traced_run
         assert report == report_off
+
+    def test_tracing_leaves_engine_counters_identical(self, light_stack):
+        """The block span's ``iso_s`` must not price through the engine:
+        a traced run does the same pricing work as an untraced one."""
+        counters = []
+        for tracer in (None, Tracer()):
+            queries = poisson_queries(light_stack.compiled, MIX, 300, 80,
+                                      seed=3)
+            engine = Engine(light_stack.cost_model,
+                            price_cache=PricingCache(), tracer=tracer)
+            engine.run(queries, light_stack.make_scheduler("layerwise"))
+            counters.append((asdict(engine.metrics),
+                             engine.price_cache.stats()))
+        assert counters[0] == counters[1]
 
     def test_trace_wellformed(self, traced_run):
         trace, report, _ = traced_run
