@@ -86,13 +86,12 @@ class AutoscalePolicy:
     up_violation_rate: float = 0.15
     down_violation_rate: float = 0.03
     slo_window_s: float = 2.0
-    step: int = 1
     #: Breach severity (signal / up-band ratio) past which the
-    #: controller skips the cool-down and incremental stepping and
-    #: jumps straight to ``max_nodes`` — the flash-crowd reflex.  A
-    #: diurnal ramp trips bands gently (severity ~1) and grows by
-    #: ``step``; a spike blows through them and must not wait out
-    #: ``cooldown_s`` one node at a time.
+    #: controller skips the cool-down and one-node stepping and jumps
+    #: straight to ``max_nodes`` — the flash-crowd reflex.  A diurnal
+    #: ramp trips bands gently (severity ~1) and grows by one node; a
+    #: spike blows through them and must not wait out ``cooldown_s``
+    #: one node at a time.
     panic_severity: float = 2.0
     #: Consecutive quiet ticks (every signal under its down band)
     #: required before a scale-down — one calm tick inside a burst
@@ -112,8 +111,6 @@ class AutoscalePolicy:
             raise ValueError("cooldown_s must be >= 0")
         if self.slo_window_s <= 0.0:
             raise ValueError("slo_window_s must be positive")
-        if self.step < 1:
-            raise ValueError("step must be at least 1")
         if self.panic_severity <= 1.0:
             raise ValueError("panic_severity must exceed 1")
         if self.quiet_ticks < 1:
@@ -203,8 +200,8 @@ class AutoscaleController:
         """Scale delta for this tick: +n provision, -n drain, 0 hold.
 
         Scale-up trips when *any* high band is breached; the breach
-        severity (worst signal over its band) picks between a gentle
-        ``step`` and, past ``panic_severity``, an immediate jump to
+        severity (worst signal over its band) picks between one more
+        node and, past ``panic_severity``, an immediate jump to
         ``max_nodes`` that also bypasses the cool-down.  Scale-down
         needs ``quiet_ticks`` consecutive all-clear ticks with nothing
         warming, releasing one node at a time.
@@ -237,7 +234,7 @@ class AutoscaleController:
                 return 0
             headroom = policy.max_nodes - population
             self._last_action_s = now
-            return headroom if panic else min(policy.step, headroom)
+            return headroom if panic else 1
         if (quiet and warming == 0
                 and self._quiet_streak >= policy.quiet_ticks
                 and not cooling

@@ -62,7 +62,7 @@ from repro.cluster.metrics import (
     rollup,
     session_reports,
 )
-from repro.cluster.router import Router, make_router
+from repro.cluster.router import make_router
 from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.interference.proxy import estimate_system_pressure
 from repro.runtime.engine import Engine
@@ -142,16 +142,16 @@ class Cluster:
 
     Engines are per-``serve`` (fresh nodes each call, exactly like
     ``ServingStack.run`` builds fresh engines per run), so one
-    ``Cluster`` can drive a whole QPS sweep.  Pass ``router`` as a
-    registry name (a fresh router is built per serve) or as a
-    :class:`Router` instance to keep custom routing state across calls.
-    An :class:`AutoscalePolicy` turns on the feedback control plane:
+    ``Cluster`` can drive a whole QPS sweep.  ``router`` is a registry
+    name (:data:`~repro.cluster.router.ROUTERS`); a fresh router is
+    built per serve, so no routing state leaks between serves.  An
+    :class:`AutoscalePolicy` turns on the feedback control plane:
     ``spec`` then describes the *initial* fleet and membership follows
     load between the policy's ``min_nodes`` and ``max_nodes``.
     """
 
     def __init__(self, stack: ServingStack, spec: ClusterSpec,
-                 router: str | Router = "pressure_aware",
+                 router: str = "pressure_aware",
                  admission: AdmissionPolicy | None = None,
                  autoscale: AutoscalePolicy | None = None) -> None:
         self.stack = stack
@@ -169,11 +169,6 @@ class Cluster:
         #: included.  ``record_trace(cluster.last_offered, ...)``
         #: captures a feedback-shaped stream for open-loop replay.
         self.last_offered: list[Query] | None = None
-
-    def _build_router(self) -> Router:
-        if isinstance(self.router, Router):
-            return self.router
-        return make_router(self.router)
 
     @staticmethod
     def _retire_time(node: ClusterNode) -> float:
@@ -270,7 +265,7 @@ class Cluster:
         #: ``index``); membership state lives on the nodes.
         all_nodes = [build_node(index, spec)
                      for index, spec in enumerate(self.spec.nodes)]
-        router = self._build_router()
+        router = make_router(self.router)
         #: Score-based routers publish per-node scores when this is set.
         router.tracer = tracer
         controller = (AdmissionController(self.admission)

@@ -21,6 +21,19 @@ simulator internals beyond what a monitoring agent could export.
 
 from __future__ import annotations
 
+#: Score weights of the pressure-aware routers (see
+#: :class:`PressureAwareRouter`): the queue term's weight, the node
+#: width that counts as one unit of backlog capacity, and the QoS budget
+#: at which a query counts as fully urgent.
+_QUEUE_WEIGHT = 0.5
+_REFERENCE_CORES = 64
+_REFERENCE_QOS_S = 0.015
+#: :class:`DeviceAffinityRouter`'s learned cost term: the EWMA step, and
+#: the completions a (model, device kind) pair needs before its
+#: observations replace the profiled prior.
+_ALPHA = 0.2
+_MIN_OBSERVATIONS = 3
+
 
 class Router:
     """Base router: pick a node for one query at its arrival instant."""
@@ -40,6 +53,17 @@ class Router:
     def choose(self, nodes, query, now: float):
         """Return the node (from ``nodes``) that should serve ``query``."""
         raise NotImplementedError
+
+    def _lowest(self, nodes, score):
+        """The node with the lowest ``score``; with a tracer set, every
+        node's score is also published through :attr:`last_scores`."""
+        if self.tracer is None:
+            return min(nodes, key=score)
+        scored = [(score(node), node) for node in nodes]
+        best = min(scored, key=lambda entry: entry[0])
+        self.last_scores = {node.spec.name: value
+                            for (value, _), node in scored}
+        return best[1]
 
 
 class RoundRobinRouter(Router):
@@ -104,17 +128,17 @@ class PressureAwareRouter(Router):
 
     Each node is scored as::
 
-        score = (1 + urgency) * pressure + queue_weight * depth
+        score = (1 + urgency) * pressure + 0.5 * depth
 
     * ``pressure`` is the node's interference estimate in [0, 1]: the
       fitted linear proxy over the node's chip-wide L3 counters when the
       stack has one, else the simulator's planning pressure (oracle).
     * ``depth`` is the node's outstanding query count divided by its
-      core width in reference-node units (``cores / reference_cores``),
-      so a 256-core box absorbs 4x the backlog of a 64-core box before
+      core width in reference-node units (``cores / 64``), so a
+      256-core box absorbs 4x the backlog of a 64-core box before
       their scores meet — this is what a width-blind router misses.
     * ``urgency`` in [0, 1] grows as the query's QoS budget tightens
-      (``reference_qos_s / qos_s``, clamped): latency-critical queries
+      (``0.015 s / qos_s``, clamped): latency-critical queries
       double-weight pressure and land on quiet nodes, while loose-QoS
       heavy queries mostly follow spare width and soak up the backlog —
       per-class isolation without any static partitioning.
@@ -122,37 +146,20 @@ class PressureAwareRouter(Router):
 
     name = "pressure_aware"
 
-    def __init__(self, queue_weight: float = 0.5,
-                 reference_cores: int = 64,
-                 reference_qos_s: float = 0.015) -> None:
-        if queue_weight < 0.0:
-            raise ValueError("queue_weight must be non-negative")
-        if reference_cores <= 0 or reference_qos_s <= 0:
-            raise ValueError("reference scales must be positive")
-        self.queue_weight = queue_weight
-        self.reference_cores = reference_cores
-        self.reference_qos_s = reference_qos_s
-
     def choose(self, nodes, query, now: float):
-        urgency = min(1.0, self.reference_qos_s / query.qos_s)
+        urgency = min(1.0, _REFERENCE_QOS_S / query.qos_s)
 
         def score(node) -> tuple[float, int]:
             # Parallel width, not "cores": on an accelerator node the
             # allocation units are SMs, and normalising the backlog by
             # anything else mis-ranks it against CPU members.
-            width = node.width / self.reference_cores
+            width = node.width / _REFERENCE_CORES
             depth = node.engine.outstanding / width
             value = ((1.0 + urgency) * node.pressure_estimate()
-                     + self.queue_weight * depth)
+                     + _QUEUE_WEIGHT * depth)
             return (value, node.index)
 
-        if self.tracer is None:
-            return min(nodes, key=score)
-        scored = [(score(node), node) for node in nodes]
-        best = min(scored, key=lambda entry: entry[0])
-        self.last_scores = {node.spec.name: value
-                            for (value, _), node in scored}
-        return best[1]
+        return self._lowest(nodes, score)
 
 
 class DeviceAffinityRouter(PressureAwareRouter):
@@ -164,8 +171,7 @@ class DeviceAffinityRouter(PressureAwareRouter):
     EWMAs and adds the estimate — urgency-weighted, like the pressure
     term — to the ``pressure_aware`` score::
 
-        score = affinity_weight * (1 + urgency) * cost
-                + pressure + queue_weight * depth
+        score = (1 + urgency) * cost + pressure + 0.5 * depth
 
     Batch-friendly models (wide layers that fill warps and SMs) observe
     low normalised cost on accelerator nodes and drift there;
@@ -173,35 +179,18 @@ class DeviceAffinityRouter(PressureAwareRouter):
     occupancy stalls and drift back to CPUs — placement learned from
     fleet telemetry, no static model→device table anywhere.
 
-    Until ``min_observations`` completions of a pair exist, the prior
-    is the node runtime's *isolated* profiled service time over the
-    query's budget — the offline per-device cost estimate — so cold
-    starts already route with the right sign.  Observation ingestion is
-    cursor-based over each node's completion log (a front-end tailing
-    its metrics stream) and strictly arrival-order driven, so routing
-    stays deterministic for a fixed stream.
+    Until three completions of a pair exist, the prior is the node
+    runtime's *isolated* profiled service time over the query's budget —
+    the offline per-device cost estimate — so cold starts already route
+    with the right sign.  Observation ingestion is cursor-based over
+    each node's completion log (a front-end tailing its metrics stream)
+    and strictly arrival-order driven, so routing stays deterministic
+    for a fixed stream.
     """
 
     name = "device_affinity"
 
-    def __init__(self, queue_weight: float = 0.5,
-                 reference_cores: int = 64,
-                 reference_qos_s: float = 0.015,
-                 affinity_weight: float = 1.0,
-                 alpha: float = 0.2,
-                 min_observations: int = 3) -> None:
-        super().__init__(queue_weight=queue_weight,
-                         reference_cores=reference_cores,
-                         reference_qos_s=reference_qos_s)
-        if affinity_weight < 0.0:
-            raise ValueError("affinity_weight must be non-negative")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-        self.affinity_weight = affinity_weight
-        self.alpha = alpha
-        self.min_observations = min_observations
+    def __init__(self) -> None:
         #: (model name, device kind) -> EWMA of latency / QoS budget.
         self._cost: dict[tuple[str, str], float] = {}
         self._counts: dict[tuple[str, str], int] = {}
@@ -213,8 +202,6 @@ class DeviceAffinityRouter(PressureAwareRouter):
             completed = node.engine.completed
             cursor_key = (node.index, node.spec.name)
             cursor = self._cursors.get(cursor_key, 0)
-            if cursor > len(completed):
-                cursor = 0  # fresh engine behind a reused router
             kind = node.device_kind
             for query in completed[cursor:]:
                 cost = (query.finished_s - query.arrival_s) / query.qos_s
@@ -222,13 +209,13 @@ class DeviceAffinityRouter(PressureAwareRouter):
                 previous = self._cost.get(key)
                 self._cost[key] = (cost if previous is None
                                    else previous
-                                   + self.alpha * (cost - previous))
+                                   + _ALPHA * (cost - previous))
                 self._counts[key] = self._counts.get(key, 0) + 1
             self._cursors[cursor_key] = len(completed)
 
     def _estimate(self, node, query) -> float:
         key = (query.model.name, node.device_kind)
-        if self._counts.get(key, 0) >= self.min_observations:
+        if self._counts.get(key, 0) >= _MIN_OBSERVATIONS:
             return self._cost[key]
         profile = node.runtime.profiles.get(query.model.name)
         if profile is None:
@@ -237,24 +224,17 @@ class DeviceAffinityRouter(PressureAwareRouter):
 
     def choose(self, nodes, query, now: float):
         self._ingest(nodes)
-        urgency = min(1.0, self.reference_qos_s / query.qos_s)
+        urgency = min(1.0, _REFERENCE_QOS_S / query.qos_s)
 
         def score(node) -> tuple[float, int]:
-            width = node.width / self.reference_cores
+            width = node.width / _REFERENCE_CORES
             depth = node.engine.outstanding / width
-            value = (self.affinity_weight * (1.0 + urgency)
-                     * self._estimate(node, query)
+            value = ((1.0 + urgency) * self._estimate(node, query)
                      + node.pressure_estimate()
-                     + self.queue_weight * depth)
+                     + _QUEUE_WEIGHT * depth)
             return (value, node.index)
 
-        if self.tracer is None:
-            return min(nodes, key=score)
-        scored = [(score(node), node) for node in nodes]
-        best = min(scored, key=lambda entry: entry[0])
-        self.last_scores = {node.spec.name: value
-                            for (value, _), node in scored}
-        return best[1]
+        return self._lowest(nodes, score)
 
 
 #: Router registry, mirroring the policy table of ``ServingStack``.
@@ -262,16 +242,16 @@ ROUTERS = ("round_robin", "least_outstanding", "join_shortest_queue",
            "pressure_aware", "device_affinity")
 
 
-def make_router(name: str, **kwargs) -> Router:
-    """Instantiate a registered router by name (kwargs to constructor)."""
+def make_router(name: str) -> Router:
+    """A fresh instance of the router registered as ``name``."""
     if name == "round_robin":
-        return RoundRobinRouter(**kwargs)
+        return RoundRobinRouter()
     if name == "least_outstanding":
-        return LeastOutstandingRouter(**kwargs)
+        return LeastOutstandingRouter()
     if name == "join_shortest_queue":
-        return JoinShortestQueueRouter(**kwargs)
+        return JoinShortestQueueRouter()
     if name == "pressure_aware":
-        return PressureAwareRouter(**kwargs)
+        return PressureAwareRouter()
     if name == "device_affinity":
-        return DeviceAffinityRouter(**kwargs)
+        return DeviceAffinityRouter()
     raise ValueError(f"unknown router {name!r}; known: {ROUTERS}")

@@ -28,10 +28,7 @@ QPS-with-95%-QoS evaluation lives in):
 
 The engine owns mechanics only (clock, events, core accounting, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
-through a single callback, :meth:`Scheduler.schedule`.  A policy may
-additionally implement ``on_pressure_change(engine)``, which the engine
-calls after any repricing round that changed at least one block — the
-hook for invalidating pressure-derived planning caches.
+through a single callback, :meth:`Scheduler.schedule`.
 
 Telemetry: pass ``tracer=`` (a :class:`repro.telemetry.Tracer` or a
 node-scoped view) to record block spans, per-query lifecycle spans, and
@@ -62,8 +59,8 @@ from repro.runtime.tasks import (
     fuse_batch,
 )
 
-#: Default pressure quantisation step.  Pricing happens at quantized
-#: pressure levels, so the step trades fidelity (worst-case pricing is a
+#: Pressure quantisation step.  Pricing happens at quantized pressure
+#: levels, so the step trades fidelity (worst-case pricing is a
 #: half-step of pressure stale, a few percent of latency under the
 #: linear contention model) against repricing churn (a finer step makes
 #: every co-location change flip more blocks' quanta).  The interference
@@ -150,13 +147,9 @@ class Engine:
                  soon_to_finish_threshold: float = 0.10,
                  price_cache: PricingCache | None = None,
                  incremental: bool = True,
-                 pressure_quantum: float = _PRESSURE_QUANTUM,
                  tracer=None,
                  batching: BatchPolicy | None = None,
                  on_complete=None) -> None:
-        if not 0.0 < pressure_quantum <= 1.0:
-            raise ValueError("pressure_quantum must be in (0, 1]")
-        self.pressure_quantum = pressure_quantum
         self.cost_model = cost_model
         self.cpu = cost_model.cpu
         self.allocator = CoreAllocator(self.cpu.cores)
@@ -269,15 +262,15 @@ class Engine:
         return self.queued + len(self.running)
 
     def quantize_pressure(self, pressure: float) -> float:
-        """Snap a pressure estimate to this engine's pricing quantum.
+        """Snap a pressure estimate to the pricing grid (0.05 steps).
 
         Pricing (and therefore every pressure-keyed planning cache worth
-        having) only resolves ``pressure_quantum`` steps; planners should
-        quantize their estimates with this so their cache keys are never
-        finer than what pricing can distinguish.
+        having) only resolves ``_PRESSURE_QUANTUM`` steps; planners
+        should quantize their estimates with this so their cache keys
+        are never finer than what pricing can distinguish.
         """
-        steps = round(pressure / self.pressure_quantum)
-        return min(1.0, steps * self.pressure_quantum)
+        steps = round(pressure / _PRESSURE_QUANTUM)
+        return min(1.0, steps * _PRESSURE_QUANTUM)
 
     def system_counters(self) -> tuple[float, float]:
         """Aggregate (L3 miss rate, L3 accesses/s) across running blocks.
@@ -473,7 +466,7 @@ class Engine:
         self.metrics.repricings += 1
         self.metrics.finish_events_pushed += 1
 
-    def _reprice_dirty(self, scheduler: Scheduler | None = None) -> None:
+    def _reprice_dirty(self) -> None:
         """Re-price blocks whose quantized excluded pressure changed.
 
         In incremental mode a block keeps its rate and its scheduled
@@ -507,9 +500,6 @@ class Engine:
                     {"pressure": min(1.0, max(0.0, self._pressure_sum)),
                      "running": len(self.running),
                      "queued": self.queued})
-            hook = getattr(scheduler, "on_pressure_change", None)
-            if hook is not None:
-                hook(self)
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
@@ -710,15 +700,13 @@ class Engine:
     def _arrivals_pending(self) -> bool:
         return self._arrival_cursor < len(self._arrivals)
 
-    def run(self, queries: list[Query], scheduler: Scheduler,
-            horizon_s: float | None = None) -> list[Query]:
-        """Simulate until all queries complete (or the horizon passes).
-
-        Returns completed queries in completion order.
+    def run(self, queries: list[Query], scheduler: Scheduler) -> list[Query]:
+        """Simulate until all queries complete: :meth:`begin` +
+        :meth:`drain`.  Returns completed queries in completion order;
+        stop at a horizon with :meth:`begin` + :meth:`run_until`.
         """
         self.begin(queries, scheduler)
-        self._drive(horizon_s=horizon_s, resumable=False)
-        return self.completed
+        return self.drain()
 
     # ------------------------------------------------------------------
     # incremental driving (cluster co-simulation)
@@ -732,7 +720,7 @@ class Engine:
         :meth:`run_until` (advance to the next global arrival) and
         :meth:`submit` (inject the query the router assigned here), and
         finally :meth:`drain`-s the tail.  :meth:`run` is exactly
-        ``begin`` + drive-to-completion.
+        ``begin`` + :meth:`drain`.
         """
         self._scheduler = scheduler
         self._stage_arrivals(queries)
@@ -750,13 +738,13 @@ class Engine:
         self._push_event(max(time, self.now), "arrival", query)
 
     def run_until(self, until_s: float) -> None:
-        """Process every event at ``time <= until_s``; resumable.
+        """Process every event at ``time <= until_s``; call again to go on.
 
         Leaves the first out-of-window event in the heap and advances
         the clock (banking progress and core-usage accounting) to
         ``until_s`` so routers observe fresh block progress.
         """
-        self._drive(horizon_s=until_s, resumable=True)
+        self._drive(until_s)
 
     def drain(self) -> list[Query]:
         """Run the loop to completion; returns the completed queries.
@@ -773,7 +761,7 @@ class Engine:
         earlier than the completion instant, and the drain keeps
         running until hook-generated work is exhausted too.
         """
-        self._drive(horizon_s=None, resumable=False)
+        self._drive(None)
         return self.completed
 
     def next_event_s(self) -> float | None:
@@ -805,7 +793,7 @@ class Engine:
             return self._arrivals[self._arrival_cursor][0]
         return None
 
-    def _drive(self, horizon_s: float | None, resumable: bool) -> None:
+    def _drive(self, horizon_s: float | None) -> None:
         scheduler = self._scheduler
         if scheduler is None:
             raise RuntimeError("no scheduler bound; call begin()/run()")
@@ -827,17 +815,8 @@ class Engine:
                 if self._batch_token.get(name) != token:
                     continue  # group already closed early at max_batch
             if horizon_s is not None and time > horizon_s:
-                # Account the tail of the simulated window: without this
-                # advance, usage/last_event under-count everything after
-                # the final in-horizon event and inflate average cores.
-                # A resumable drive keeps the event for the next call; a
-                # terminal horizon discards it with the rest of the run.
-                if resumable:
-                    heapq.heappush(self._events, event)
-                if (self.metrics.first_event_s is not None
-                        and horizon_s > self.now):
-                    self._advance(horizon_s)
-                return
+                heapq.heappush(self._events, event)  # for the next call
+                break
             self._advance(time)
             if kind == "arrival":
                 if self.batching is not None and payload.next_layer == 0:
@@ -863,7 +842,10 @@ class Engine:
                     "scheduler deadlock: pending queries with an idle "
                     "machine and no future events")
             if self._dirty:
-                self._reprice_dirty(scheduler)
-        if (resumable and self.metrics.first_event_s is not None
-                and horizon_s is not None and horizon_s > self.now):
+                self._reprice_dirty()
+        # Account the tail of the simulated window: without this advance,
+        # usage/last_event under-count everything after the final
+        # in-horizon event and inflate average cores.
+        if (horizon_s is not None and self.metrics.first_event_s is not None
+                and horizon_s > self.now):
             self._advance(horizon_s)

@@ -53,10 +53,6 @@ class Query:
         return self.next_layer >= len(self.model.layers)
 
     @property
-    def remaining_layers(self) -> int:
-        return len(self.model.layers) - self.next_layer
-
-    @property
     def latency_s(self) -> float:
         if self.finished_s is None:
             raise ValueError(f"query {self.query_id} not finished")
@@ -159,10 +155,6 @@ class RunningBlock:
     #: Counter rates cached at the last re-pricing (proxy inputs).
     miss_lines_per_s: float = 0.0
     access_lines_per_s: float = 0.0
-
-    @property
-    def layer_count(self) -> int:
-        return self.stop_layer - self.start_layer
 
     @property
     def had_conflict(self) -> bool:

@@ -155,25 +155,11 @@ class SpatialScheduler:
         #: :meth:`block_cores`.  Their keys are 4- and 5/6-tuples, so the
         #: two calls never collide.
         self._plan_memo = PricingCache(max_entries=PLAN_MEMO_ENTRIES)
-        #: Repricing rounds that actually changed a block's rate, as
-        #: reported by :meth:`on_pressure_change`.
-        self.pressure_changes = 0
 
     # -- policy hooks --------------------------------------------------------
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         raise NotImplementedError
-
-    def on_pressure_change(self, engine: Engine) -> None:
-        """Engine notification: a repricing round changed ≥ 1 block.
-
-        Called after the engine's incremental repricing pass whenever at
-        least one running block's quantized pressure moved.  Subclasses
-        that derive planning state from the pressure field override this
-        to invalidate those caches; the base implementation only counts
-        rounds (a cheap co-location-churn diagnostic).
-        """
-        self.pressure_changes += 1
 
     def profile_for(self, query: Query) -> ModelProfile:
         try:

@@ -22,6 +22,12 @@ from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
 
+#: Blocks target finishing *ahead* of their summed budget so that
+#: interference jitter and queueing do not push queries over QoS; the
+#: Avg_C + thres cap still bounds how many cores that may cost (Alg. 2's
+#: "no more than Avg_C + thres").
+_BUDGET_HEADROOM = 0.8
+
 
 class ProportionalThresholdPolicy:
     """Paper Sec. 4.3: distribute idle cores proportionally to ``Avg_C``.
@@ -74,17 +80,10 @@ class DynamicBlockScheduler(SpatialScheduler):
 
     def __init__(self, cost_model, profiles,
                  threshold_policy: ProportionalThresholdPolicy | None = None,
-                 budget_headroom: float = 0.8) -> None:
+                 ) -> None:
         super().__init__(cost_model, profiles)
         self.threshold_policy = (threshold_policy
                                  or ProportionalThresholdPolicy())
-        # Blocks target finishing *ahead* of their summed budget so that
-        # interference jitter and queueing do not push queries over QoS;
-        # the Avg_C + thres cap still bounds how many cores that may cost
-        # (Alg. 2's "no more than Avg_C + thres").
-        if not 0.0 < budget_headroom <= 1.0:
-            raise ValueError("budget_headroom must be in (0, 1]")
-        self.budget_headroom = budget_headroom
 
     # -- version/requirement hooks (overridden by the full scheduler) -----
 
@@ -132,8 +131,7 @@ class DynamicBlockScheduler(SpatialScheduler):
         stop = self.find_first_pivot(engine, query, cap, pressure)
         versions = tuple(self.version_for(query, i, pressure)
                          for i in range(start, stop))
-        budget = (sum(profile.layer_budgets_s[start:stop])
-                  * self.budget_headroom)
+        budget = sum(profile.layer_budgets_s[start:stop]) * _BUDGET_HEADROOM
         desired = self.block_cores(query, start, stop, versions, budget,
                                    pressure=pressure, cap=cap)
         return BlockPlan(stop_layer=stop, desired_cores=desired,

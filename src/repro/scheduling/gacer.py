@@ -24,36 +24,30 @@ from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import BlockPlan, SpatialScheduler
 
+#: Floor of the concurrency cap: at least one query always runs.
+_MIN_CONCURRENCY = 1
+#: Completions per throughput measurement of the hill-climber.
+_WINDOW = 16
+#: Block length (layers) at a concurrency of one; it shrinks as the cap
+#: grows.
+_COARSE_BLOCK = 12
+#: Grants target finishing slightly ahead of the summed layer budget,
+#: so regulation, not per-layer auctions, absorbs jitter.
+_BUDGET_HEADROOM = 0.8
+
 
 class GacerScheduler(SpatialScheduler):
     """Concurrency-regulated blocks with throughput hill-climbing."""
 
     allow_grow = False
 
-    def __init__(self, cost_model, profiles,
-                 min_concurrency: int = 1,
-                 max_concurrency: int | None = None,
-                 window: int = 16,
-                 coarse_block: int = 12,
-                 budget_headroom: float = 0.8) -> None:
+    def __init__(self, cost_model, profiles) -> None:
         super().__init__(cost_model, profiles)
-        width = cost_model.cpu.cores
-        if max_concurrency is None:
-            # Enough co-runners to cover the machine without shredding
-            # grants below useful widths (≥ 8 units each).
-            max_concurrency = max(2, min(8, width // 8))
-        if min_concurrency < 1 or max_concurrency < min_concurrency:
-            raise ValueError("need 1 <= min_concurrency <= max_concurrency")
-        if window < 1:
-            raise ValueError("window must be >= 1 completions")
-        if not 0.0 < budget_headroom <= 1.0:
-            raise ValueError("budget_headroom must be in (0, 1]")
-        self.min_concurrency = min_concurrency
-        self.max_concurrency = max_concurrency
-        self.window = window
-        self.coarse_block = coarse_block
-        self.budget_headroom = budget_headroom
-        self.concurrency = min(max(2, min_concurrency), max_concurrency)
+        #: Enough co-runners to cover the machine without shredding
+        #: grants below useful widths (≥ 8 units each); at least 2.
+        self.max_concurrency = max(2, min(8, cost_model.cpu.cores // 8))
+        #: The current cap; regulation starts from two co-runners.
+        self.concurrency = 2
         self._direction = 1
         self._last_completed = 0
         self._last_mark_s = 0.0
@@ -62,13 +56,13 @@ class GacerScheduler(SpatialScheduler):
     @property
     def block_layers(self) -> int:
         """Granularity coupled to concurrency: fewer co-runners, coarser."""
-        return max(1, self.coarse_block // self.concurrency)
+        return max(1, _COARSE_BLOCK // self.concurrency)
 
     # -- the regulator -------------------------------------------------------
 
     def _regulate(self, engine: Engine) -> None:
         done = len(engine.completed)
-        if done - self._last_completed < self.window:
+        if done - self._last_completed < _WINDOW:
             return
         elapsed = engine.now - self._last_mark_s
         if elapsed <= 0.0:
@@ -80,7 +74,7 @@ class GacerScheduler(SpatialScheduler):
         self._last_completed = done
         self._last_mark_s = engine.now
         self.concurrency = min(self.max_concurrency,
-                               max(self.min_concurrency,
+                               max(_MIN_CONCURRENCY,
                                    self.concurrency + self._direction))
         if engine.tracer is not None:
             engine.tracer.event(
@@ -101,12 +95,9 @@ class GacerScheduler(SpatialScheduler):
         stop = min(start + self.block_layers, len(query.model.layers))
         versions = profile.static_versions[start:stop]
 
-        # An even share of the machine per admitted co-runner; the
-        # budget headroom keeps the grant slightly ahead of the deadline
-        # so regulation, not per-layer auctions, absorbs jitter.
+        # An even share of the machine per admitted co-runner.
         cap = max(1, self.cost_model.cpu.cores // self.concurrency)
-        budget = (sum(profile.layer_budgets_s[start:stop])
-                  * self.budget_headroom)
+        budget = sum(profile.layer_budgets_s[start:stop]) * _BUDGET_HEADROOM
         desired = self.block_cores(query, start, stop, versions, budget,
                                    cap=cap)
         return BlockPlan(stop_layer=stop, desired_cores=desired,

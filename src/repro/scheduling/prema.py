@@ -20,18 +20,18 @@ from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import ModelProfile
 
+#: Preemption quantum: a chosen task runs layers until this much
+#: isolated execution time is filled.
+_QUANTUM_S = 2e-3
+
 
 class PremaScheduler:
     """Token-based temporal multitasking, one query at a time."""
 
     def __init__(self, cost_model: CostModel,
-                 profiles: dict[str, ModelProfile],
-                 quantum_s: float = 2e-3) -> None:
-        if quantum_s <= 0:
-            raise ValueError("quantum_s must be positive")
+                 profiles: dict[str, ModelProfile]) -> None:
         self.cost_model = cost_model
         self.profiles = profiles
-        self.quantum_s = quantum_s
 
     def _token_score(self, engine: Engine, query: Query) -> float:
         """PREMA token: priority x waiting time (+ progress tiebreak).
@@ -50,7 +50,7 @@ class PremaScheduler:
         elapsed = 0.0
         stop = query.next_layer
         layers = query.model.graph.layers
-        while stop < len(layers) and elapsed < self.quantum_s:
+        while stop < len(layers) and elapsed < _QUANTUM_S:
             layer = batched(layers[stop], query.batch)
             version = profile.static_versions[stop]
             elapsed += self.cost_model.latency(layer, version, cores, 0.0)

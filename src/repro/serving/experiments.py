@@ -32,11 +32,7 @@ from repro.serving.metrics import (
     summarize,
 )
 from repro.serving.server import ServingStack
-from repro.serving.workload import (
-    WorkloadSpec,
-    scenario_queries,
-    uniform_queries,
-)
+from repro.serving.workload import WorkloadSpec, scenario_queries
 
 
 def _resolve_scenario(scenario):
@@ -71,28 +67,25 @@ def warm_stack(stack: ServingStack, devices: tuple = ()) -> None:
     Workers share compiled models, scheduling profiles, per-device
     runtimes and fitted proxies by copy-on-write only if they exist at
     fork time — otherwise every worker would redo the whole compile
-    pass (and proxy fits) privately.  ``devices`` are the node devices
-    whose runtimes and proxies the workers read.
+    pass (and profiles and proxy fits) privately.  ``devices`` are the
+    node devices whose runtimes and proxies the workers read.
     """
     stack.ensure_compiled()
-    for name in stack.model_names:
-        _ = stack.profiles[name]
+    _ = stack.profiles.values()
     for device in devices:
-        _ = stack.runtime_for(device).proxy
+        runtime = stack.runtime_for(device)
+        _ = runtime.profiles.values()
+        _ = runtime.proxy
 
 
 def _point(stack: ServingStack, policy: str, spec: WorkloadSpec,
-           count: int, seed: int | None, uniform: bool, scenario):
+           count: int, seed: int | None, scenario):
     """The single-node point function: offered QPS -> ServingReport."""
     effective_seed = stack.seed if seed is None else seed
 
     def run(qps: float) -> ServingReport:
-        if uniform:
-            queries = uniform_queries(stack.compiled, spec.models[0], qps,
-                                      count)
-        else:
-            queries = scenario_queries(stack.compiled, scenario, qps, count,
-                                       seed=effective_seed, spec=spec)
+        queries = scenario_queries(stack.compiled, scenario, qps, count,
+                                   seed=effective_seed, spec=spec)
         completed, engine = stack.run(policy, queries)
         return summarize(completed, engine.metrics, qps)
 
@@ -106,8 +99,7 @@ def _warm(stack: ServingStack, policy: str):
 
 
 def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
-               count: int, seed: int | None = None,
-               uniform: bool = False, workers: int = 2,
+               count: int, seed: int | None = None, workers: int = 2,
                scenario=None):
     """A persistent fork pool for *repeated* sweeps of one scenario.
 
@@ -121,8 +113,7 @@ def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
     (:func:`repro.parallel.fork_worker_pool`), which the sweep treats
     as the serial path.
     """
-    key = (stack, policy, spec, count, seed, uniform,
-           _resolve_scenario(scenario))
+    key = (stack, policy, spec, count, seed, _resolve_scenario(scenario))
     return point_pool(_point(*key), workers, key=key,
                       warm=_warm(stack, policy))
 
@@ -130,8 +121,7 @@ def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
 def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
               qps_values: list[float], count: int,
               seed: int | None = None, workers: int | None = None,
-              uniform: bool = False, pool=None,
-              scenario=None) -> list[ServingReport]:
+              pool=None, scenario=None) -> list[ServingReport]:
     """One report per offered load, optionally across worker processes.
 
     Every point is an independent simulation of ``count`` queries, so
@@ -143,17 +133,10 @@ def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
     :func:`sweep_pool` as ``pool`` to reuse warm workers across calls
     (the pool's baked-in scenario must match these arguments).
 
-    With ``uniform=True`` the spec must be single-model and arrivals are
-    the deterministic uniform stream of the granularity study (Fig. 3).
     A ``scenario`` (spec or registered name) replaces the arrival shape
-    wholesale; it is mutually exclusive with ``uniform``.
+    wholesale.
     """
-    scenario = _resolve_scenario(scenario)
-    if scenario is not None and uniform:
-        raise ValueError("pass either scenario or uniform, not both")
-    if uniform and len(spec.models) != 1:
-        raise ValueError("uniform sweeps require a single-model spec")
-    key = (stack, policy, spec, count, seed, uniform, scenario)
+    key = (stack, policy, spec, count, seed, _resolve_scenario(scenario))
     return sweep(_point(*key), [float(qps) for qps in qps_values],
                  workers=workers, pool=pool, key=key,
                  warm=_warm(stack, policy))
@@ -161,22 +144,19 @@ def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
 
 def reports_over_qps(stack: ServingStack, policy: str, model_name: str,
                      qps_values: list[float], count: int,
-                     uniform: bool = True,
                      seed: int | None = None,
                      workers: int | None = None,
-                     scenario=None) -> list[ServingReport]:
+                     scenario="uniform") -> list[ServingReport]:
     """One report per offered load — the Fig. 3 / Fig. 5a protocol.
 
     The paper's granularity study streams a single model with identical
-    uniform arrivals; ``uniform=False`` switches to Poisson arrivals,
-    and a ``scenario`` swaps in any arrival shape (overriding
-    ``uniform``).
+    uniform arrivals: the registered ``"uniform"`` scenario (the
+    default).  Any other ``scenario`` swaps in its arrival shape;
+    ``None`` draws stationary Poisson arrivals.
     """
     spec = WorkloadSpec(name=model_name, entries=((model_name, 1.0),))
     return sweep_qps(stack, policy, spec, list(qps_values), count,
-                     seed=seed, workers=workers,
-                     uniform=uniform and scenario is None,
-                     scenario=scenario)
+                     seed=seed, workers=workers, scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -228,7 +208,7 @@ def capacity(stack: ServingStack, policy: str, spec: WorkloadSpec,
     scales the scenario's mean rate instead of a stationary Poisson
     rate.
     """
-    point = _point(stack, policy, spec, count, seed, False,
+    point = _point(stack, policy, spec, count, seed,
                    _resolve_scenario(scenario))
     qps, report = bisect_capacity(
         point, workers, _warm(stack, policy), target=target,

@@ -92,40 +92,34 @@ def _passes(report: ServingReport, target: float) -> bool:
 
 
 def max_qps_at_satisfaction(
-        run_at_qps: Callable[[float], ServingReport] | None = None,
+        run_batch: Callable[[list[float]], list[ServingReport]],
         target: float = 0.95,
         low_qps: float = 10.0,
         high_qps: float = 1200.0,
         tolerance_qps: float = 10.0,
-        run_batch: Callable[[list[float]], list[ServingReport]] | None = None,
         batch: int = 1) -> tuple[float, ServingReport]:
     """Largest offered QPS whose satisfaction rate stays above ``target``.
 
     Bisection over offered load (the paper's QPS-with-95%-QoS metric).
-    ``run_at_qps`` simulates one load level and returns its report.
+    ``run_batch`` simulates a list of load levels and returns one report
+    per level (e.g. a :func:`repro.serving.experiments.sweep_qps`
+    closure, which can spread a batch across worker processes).
     Returns the best passing load and its report; if even ``low_qps``
     fails, that failing report is returned with the load.
 
-    The search can evaluate several loads per round: pass ``run_batch``
-    (e.g. a :func:`repro.serving.experiments.sweep_qps` closure, which
-    simulates a whole batch across worker processes) and ``batch > 1``
-    to probe ``batch`` bracket doublings or interior points at once.
-    With ``batch=1`` the probe sequence is exactly the classic
-    bisection, whatever runner is used.
+    ``batch > 1`` probes ``batch`` bracket doublings or interior points
+    per round.  With ``batch=1`` the probe sequence is exactly the
+    classic bisection.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must be in (0, 1]")
-    if run_at_qps is None and run_batch is None:
-        raise ValueError("provide run_at_qps or run_batch")
     batch = max(1, int(batch))
 
     def evaluate(points: list[float]) -> list[ServingReport]:
-        if run_batch is not None:
-            reports = run_batch(list(points))
-            if len(reports) != len(points):
-                raise ValueError("run_batch returned a mismatched batch")
-            return reports
-        return [run_at_qps(point) for point in points]
+        reports = run_batch(list(points))
+        if len(reports) != len(points):
+            raise ValueError("run_batch returned a mismatched batch")
+        return reports
 
     (low_report,) = evaluate([low_qps])
     if not _passes(low_report, target):

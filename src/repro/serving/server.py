@@ -64,8 +64,8 @@ class NodeRuntime:
 
     A cluster deploys the stack's compiled libraries on nodes of
     possibly different widths and kinds.  The compiled *schedules* are
-    machine descriptions and port as-is; what must be rebuilt per device
-    spec is everything calibrated against one machine — the cost model
+    machine descriptions and port as-is; what is built per device spec
+    is everything calibrated against one machine — the cost model
     itself, the scheduling profiles (unit requirements change with
     machine width and device economics), the pricing cache (prices are
     bound to one cost model), and the interference proxy (counter
@@ -78,7 +78,8 @@ class NodeRuntime:
     cpu: CpuSpec | DeviceSpec
     cost_model: CostModel
     price_cache: PricingCache
-    profiles: dict[str, ModelProfile]
+    #: Name-keyed scheduling profiles, each built on first lookup.
+    profiles: Mapping[str, ModelProfile]
     #: Produces :attr:`proxy` on first read, so nodes whose policy and
     #: router never consult the proxy never pay its fit.
     fit_proxy: Callable[[], LinearInterferenceProxy | None] = field(
@@ -122,41 +123,52 @@ class StreamOutcome:
 class _LazyArtifacts(Mapping):
     """Name-keyed model artifacts, built on first access.
 
-    Looks and iterates like the plain dict it replaced (model order
-    preserved), but a lookup compiles/profiles only that model, so
+    Looks and iterates like a plain dict over the stack's models (model
+    order preserved), but a lookup builds only that model, so
     ``models=`` subsets and cluster fleets never pay for the whole zoo.
-    ``values()``/``items()`` force the remaining models through one
-    deduplicated batch compile instead of one pass per model.
+    ``build(names)`` returns one artifact per name, so ``values()`` /
+    ``items()`` build every missing model in one call (one
+    deduplicated batch compile instead of one pass per model).  The
+    mapping's one memo holds what it has built.
     """
 
-    def __init__(self, stack: "ServingStack", build) -> None:
-        self._stack = stack
+    def __init__(self, names: list[str], build) -> None:
+        self._names = names
+        self._known = frozenset(names)
         self._build = build
+        self._built: dict = {}
+
+    def ensure(self, names: list[str]) -> None:
+        """Build every artifact of ``names`` not built yet, in one call."""
+        pending = [name for name in names if name not in self._built]
+        if pending:
+            self._built.update(zip(pending, self._build(pending)))
 
     def __getitem__(self, name: str):
-        if name not in self._stack._model_set:
+        if name not in self._known:
             raise KeyError(name)
-        return self._build(name)
+        if name not in self._built:
+            self.ensure([name])
+        return self._built[name]
 
     def __contains__(self, name) -> bool:
         # Mapping's default falls through to __getitem__, which would
-        # compile a whole model as a side effect of a membership probe.
-        return name in self._stack._model_set
+        # build a whole model as a side effect of a membership probe.
+        return name in self._known
 
     def __iter__(self):
-        return iter(self._stack.model_names)
+        return iter(self._names)
 
     def __len__(self) -> int:
-        return len(self._stack.model_names)
+        return len(self._names)
 
     def values(self):
-        self._stack.ensure_compiled()
-        return [self._build(name) for name in self._stack.model_names]
+        self.ensure(self._names)
+        return [self._built[name] for name in self._names]
 
     def items(self):
-        self._stack.ensure_compiled()
-        return [(name, self._build(name))
-                for name in self._stack.model_names]
+        self.ensure(self._names)
+        return [(name, self._built[name]) for name in self._names]
 
 
 class ServingStack:
@@ -173,12 +185,6 @@ class ServingStack:
                  compile_workers: int | None = None) -> None:
         self.cpu = cpu or THREADRIPPER_3990X
         self.cost_model = CostModel(self.cpu, params)
-        #: Block pricing memo shared by every engine this stack builds:
-        #: identical blocks recur across the runs of a QPS sweep, so the
-        #: warm cache eliminates most cost-model pricing calls.  Size is
-        #: bounded by the :class:`PricingCache` default (batched FIFO
-        #: eviction).
-        self.price_cache = PricingCache()
         if compile_workers is None:
             compile_workers = int(os.environ.get("REPRO_COMPILE_WORKERS",
                                                  "1"))
@@ -200,22 +206,16 @@ class ServingStack:
             get_entry(name)  # unknown models must fail at construction
         #: Model order of the stack (iteration order of ``compiled``).
         self.model_names = names
-        self._model_set = frozenset(names)
-        self._compiled: dict[str, CompiledModel] = {}
-        self._profiles: dict[str, ModelProfile] = {}
         #: Lazily compiled per-model artifacts: a lookup compiles just
         #: that model (deduplicated against everything compiled so
         #: far); iteration forces the full set in one batch.
-        self.compiled = _LazyArtifacts(self, self._model)
-        self.profiles = _LazyArtifacts(self, self._profile)
+        self.compiled = _LazyArtifacts(names, self._compile)
         #: Compile passes this stack has performed.  Stays at 1 for the
         #: stack's whole life: models compile lazily *within* the one
         #: pass, and per-node runtimes re-profile but never re-compile
         #: (the cluster benchmark asserts exactly this).
         self.artifact_builds = 1
 
-        self._proxy: LinearInterferenceProxy | None = None
-        self._proxy_ready = not use_proxy
         self._proxy_scenarios = proxy_scenarios
         self._use_proxy = use_proxy
 
@@ -232,28 +232,12 @@ class ServingStack:
         artifact store nothing recompiles, with ``compile_workers > 1``
         missing layers fan out over the fork pool.  Idempotent.
         """
-        pending = [name for name in (names if names is not None
-                                     else self.model_names)
-                   if name not in self._compiled]
-        if not pending:
-            return
-        specs = [(get_model(name), get_entry(name).qos_s)
-                 for name in pending]
-        for name, compiled in zip(pending,
-                                  self.compiler.compile_models(specs)):
-            self._compiled[name] = compiled
+        self.compiled.ensure(names if names is not None
+                             else self.model_names)
 
-    def _model(self, name: str) -> CompiledModel:
-        if name not in self._compiled:
-            self.ensure_compiled([name])
-        return self._compiled[name]
-
-    def _profile(self, name: str) -> ModelProfile:
-        profile = self._profiles.get(name)
-        if profile is None:
-            profile = build_profile(self.cost_model, self._model(name))
-            self._profiles[name] = profile
-        return profile
+    def _compile(self, names: list[str]) -> list[CompiledModel]:
+        return self.compiler.compile_models(
+            [(get_model(name), get_entry(name).qos_s) for name in names])
 
     @property
     def artifact_store(self) -> ArtifactStore | None:
@@ -261,20 +245,37 @@ class ServingStack:
         return self.compiler.store
 
     @property
-    def proxy(self) -> LinearInterferenceProxy | None:
-        """The fitted interference proxy (fitted on first access)."""
-        if not self._proxy_ready:
-            self._proxy = self._fit_proxy(self.cost_model)
-            self._proxy_ready = True
-        return self._proxy
+    def price_cache(self) -> PricingCache:
+        """Block pricing memo shared by every engine of the own device.
 
-    def _fit_proxy(self, cost_model: CostModel) -> LinearInterferenceProxy:
+        Identical blocks recur across the runs of a QPS sweep, so the
+        warm cache eliminates most cost-model pricing calls.  Size is
+        bounded by the :class:`PricingCache` default (batched FIFO
+        eviction).
+        """
+        return self.runtime_for().price_cache
+
+    @property
+    def profiles(self) -> Mapping[str, ModelProfile]:
+        """The own device's scheduling profiles (built on first lookup)."""
+        return self.runtime_for().profiles
+
+    @property
+    def proxy(self) -> LinearInterferenceProxy | None:
+        """The own device's interference proxy (fitted on first read)."""
+        return self.runtime_for().proxy
+
+    def _fit_proxy(self,
+                   cost_model: CostModel) -> LinearInterferenceProxy | None:
         """Fit the counter proxy against one machine's cost model.
 
         Counter magnitudes (and therefore the fitted weights and access
-        scale) depend on the CPU spec, so each distinct node width gets
-        its own fit over the same compiled models.
+        scale) depend on the device spec, so each device gets its own
+        fit over the same compiled models.  ``None`` when the stack was
+        built with ``use_proxy=False``.
         """
+        if not self._use_proxy:
+            return None
         samples = collect_aggregate_samples(
             cost_model, list(self.compiled.values()),
             scenarios=self._proxy_scenarios, seed=self.seed)
@@ -286,35 +287,32 @@ class ServingStack:
                     cpu: CpuSpec | DeviceSpec | None = None) -> NodeRuntime:
         """Serving artifacts for one node device — compile once, re-profile.
 
-        The stack's own device (or ``None``) returns a view over the
-        stack's existing cost model, profiles, and shared pricing cache.
-        A different :class:`DeviceSpec` — another CPU width or an
-        accelerator — gets its own cost model, freshly built profiles,
-        and a pricing cache of its own (prices do not port across
-        machines) — but the *compiled* multi-version libraries are
-        shared untouched, so a whole heterogeneous fleet rides on a
-        single compile pass.  Runtimes are memoised per spec.
+        Every device, the stack's own (or ``None``) included, gets a
+        runtime built the same way: a cost model (the stack's own for
+        its device, a fresh one otherwise), a pricing cache of its own
+        (prices do not port across machines), profiles built per model
+        on first lookup, and a proxy fitted on first read.  The
+        *compiled* multi-version libraries are shared untouched, so a
+        whole heterogeneous fleet rides on a single compile pass, and
+        nothing per device is built until something reads it.  Runtimes
+        are memoised per spec.
         """
         cpu = cpu if cpu is not None else self.cpu
         runtime = self._runtimes.get(cpu)
         if runtime is not None:
             return runtime
-        if cpu == self.cpu:
-            runtime = NodeRuntime(cpu=self.cpu, cost_model=self.cost_model,
-                                  price_cache=self.price_cache,
-                                  profiles=self.profiles,
-                                  fit_proxy=lambda: self.proxy)
-        else:
-            cost_model = CostModel(cpu, self.cost_model.params)
-            profiles = {name: build_profile(cost_model, compiled)
-                        for name, compiled in self.compiled.items()}
-            # Re-fit per width: the proxy reads chip-wide counter
-            # magnitudes, which do not port across machine specs.
-            proxy = (self._fit_proxy(cost_model)
-                     if self._use_proxy else None)
-            runtime = NodeRuntime(
-                cpu=cpu, cost_model=cost_model, price_cache=PricingCache(),
-                profiles=profiles, fit_proxy=lambda: proxy)
+        cost_model = (self.cost_model if cpu == self.cpu
+                      else CostModel(cpu, self.cost_model.params))
+
+        def build_profiles(names: list[str]) -> list[ModelProfile]:
+            self.ensure_compiled(names)
+            return [build_profile(cost_model, self.compiled[name])
+                    for name in names]
+
+        runtime = NodeRuntime(
+            cpu=cpu, cost_model=cost_model, price_cache=PricingCache(),
+            profiles=_LazyArtifacts(self.model_names, build_profiles),
+            fit_proxy=lambda: self._fit_proxy(cost_model))
         self._runtimes[cpu] = runtime
         return runtime
 
@@ -325,8 +323,9 @@ class ServingStack:
         :meth:`runtime_for`) instead of the stack's own machine — how a
         cluster builds one scheduler per node over shared artifacts.
         """
-        cost_model = runtime.cost_model if runtime else self.cost_model
-        profiles = runtime.profiles if runtime else self.profiles
+        runtime = runtime if runtime is not None else self.runtime_for()
+        cost_model = runtime.cost_model
+        profiles = runtime.profiles
         if policy == "model_fcfs":
             return ModelWiseFcfs(cost_model, profiles)
         if policy == "layerwise":
@@ -340,22 +339,20 @@ class ServingStack:
             return DynamicBlockScheduler(cost_model, profiles)
         if policy == "gacer":
             return GacerScheduler(cost_model, profiles)
-        # Only the proxy-driven policies read the proxy — referencing
-        # ``self.proxy`` here would trigger the lazy fit for everyone.
+        # Only the proxy-driven policies read the proxy — reading
+        # ``runtime.proxy`` here would trigger the lazy fit for everyone.
         if policy == "veltair_ac":
-            return AdaptiveCompilationOnly(
-                cost_model, profiles,
-                proxy=runtime.proxy if runtime else self.proxy)
+            return AdaptiveCompilationOnly(cost_model, profiles,
+                                           proxy=runtime.proxy)
         if policy == "veltair_full":
-            return VeltairScheduler(
-                cost_model, profiles,
-                proxy=runtime.proxy if runtime else self.proxy)
+            return VeltairScheduler(cost_model, profiles,
+                                    proxy=runtime.proxy)
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
 
     def run(self, policy: str, queries: list[Query],
             incremental: bool = True,
-            tracer=None, batching: BatchPolicy | None = None,
-            on_complete=None) -> tuple[list[Query], Engine]:
+            tracer=None,
+            batching: BatchPolicy | None = None) -> tuple[list[Query], Engine]:
         """Simulate one query stream; returns (completed, engine).
 
         ``incremental=False`` forces the engine's legacy
@@ -368,13 +365,14 @@ class ServingStack:
         bit-identical either way.
 
         ``batching`` enables engine-side dynamic batching
-        (:class:`repro.runtime.engine.BatchPolicy`); ``on_complete`` is
-        the engine's completion-hook seam.  Both default off, keeping
-        the legacy open-loop path untouched.
+        (:class:`repro.runtime.engine.BatchPolicy`); the default keeps
+        the legacy open-loop path untouched.  The completion hook is an
+        :class:`Engine` argument (``on_complete``); request-model
+        streams go through :meth:`run_stream`.
         """
         engine = Engine(self.cost_model, price_cache=self.price_cache,
                         incremental=incremental, tracer=tracer,
-                        batching=batching, on_complete=on_complete)
+                        batching=batching)
         scheduler = self.make_scheduler(policy)
         completed = engine.run(queries, scheduler)
         return completed, engine

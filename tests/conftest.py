@@ -66,3 +66,24 @@ def light_stack():
     """Two light models for multi-model serving tests."""
     return ServingStack(models=["mobilenet_v2", "googlenet"], trials=96,
                         proxy_scenarios=60, seed=11)
+
+
+@pytest.fixture()
+def proxy_fits(monkeypatch):
+    """A list that gains one entry per interference-proxy fit.
+
+    Wraps the ``fit_proxy`` that :class:`ServingStack` calls, so a test
+    can count the fits a serve pays for.  Each entry is the fit's
+    sample count.
+    """
+    import repro.serving.server as server
+
+    fits = []
+    real = server.fit_proxy
+
+    def counting(samples):
+        fits.append(len(samples))
+        return real(samples)
+
+    monkeypatch.setattr(server, "fit_proxy", counting)
+    return fits

@@ -412,7 +412,8 @@ class TestServingStackStore:
         assert [r.average_latency_s for r in reports] == [
             r.average_latency_s for r in serial]
 
-    def test_sweep_pool_skips_proxy_fit_for_non_proxy_policies(self):
+    def test_sweep_pool_skips_proxy_fit_for_non_proxy_policies(
+            self, proxy_fits):
         from repro.serving.experiments import sweep_pool
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
@@ -422,10 +423,11 @@ class TestServingStackStore:
                         workers=2):
             # layerwise never reads the proxy: the pre-fork warm-up
             # must not pay the fit for it.
-            assert not stack._proxy_ready
+            assert proxy_fits == []
         with sweep_pool(stack, "veltair_full", spec, count=10, seed=7,
                         workers=2):
-            assert stack._proxy_ready  # proxy-driven: fitted pre-fork
+            # proxy-driven: fitted once, pre-fork
+            assert len(proxy_fits) == 1
 
     def test_fork_pool_fails_soft_in_daemonic_worker(self):
         # Pool workers are daemonic and may not have children (Pool()

@@ -116,7 +116,7 @@ class TestAutoscaleController:
         assert controller.violation_rate(2.1) == 0.0
 
     def test_scale_up_on_backlog(self):
-        controller = AutoscaleController(fast_policy(step=1))
+        controller = AutoscaleController(fast_policy())
         # backlog per core 10/64 > 0.05 band, severity < panic.
         nodes = [_StubNode(0, outstanding=5)]
         assert controller.decide(0.0, nodes, warming=0) == 1

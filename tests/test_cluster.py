@@ -178,20 +178,22 @@ class TestIncrementalDrive:
             engine.drain()
 
     def test_quantize_pressure(self, light_stack):
-        engine = Engine(light_stack.cost_model, pressure_quantum=0.05)
+        """Pricing resolves a fixed 0.05 pressure grid."""
+        engine = Engine(light_stack.cost_model)
         assert engine.quantize_pressure(0.237) == pytest.approx(0.25)
+        assert engine.quantize_pressure(0.224) == pytest.approx(0.2)
+        assert engine.quantize_pressure(0.02) == 0.0
         assert engine.quantize_pressure(0.0) == 0.0
         assert engine.quantize_pressure(5.0) == 1.0
-        coarse = Engine(light_stack.cost_model, pressure_quantum=0.2)
-        assert coarse.quantize_pressure(0.237) == pytest.approx(0.2)
 
     def test_planning_pressure_uses_engine_quantum(self, light_stack):
         """Satellite fix: no more hard-coded round(estimate, 2)."""
         scheduler = VeltairScheduler(light_stack.cost_model,
                                      light_stack.profiles, proxy=None)
-        engine = Engine(light_stack.cost_model, pressure_quantum=0.2)
+        engine = Engine(light_stack.cost_model)
         engine.pressure = lambda planning=False: 0.237
-        assert scheduler.planning_pressure(engine) == pytest.approx(0.2)
+        # round(, 2) would give 0.24; the 0.05 grid gives 0.25.
+        assert scheduler.planning_pressure(engine) == pytest.approx(0.25)
 
 
 class TestClusterServe:

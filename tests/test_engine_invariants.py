@@ -194,11 +194,6 @@ class TestSweepQps:
         for a, b in zip(serial, parallel):
             _assert_reports_equal(a, b, tolerance=0.0)
 
-    def test_uniform_requires_single_model(self, light_stack):
-        with pytest.raises(ValueError):
-            sweep_qps(light_stack, "veltair_full", DUO_SPEC, [100.0],
-                      count=10, uniform=True)
-
     def test_empty_sweep(self, light_stack):
         assert sweep_qps(light_stack, "veltair_full", DUO_SPEC, [],
                          count=10) == []

@@ -15,7 +15,14 @@ import math
 
 import pytest
 
-from repro.cluster import AdmissionPolicy, Cluster, homogeneous
+from repro.cluster import (
+    AdmissionPolicy,
+    Cluster,
+    ClusterSpec,
+    NodeSpec,
+    homogeneous,
+)
+from repro.hardware.platform import EDGE_NODE_32
 from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
 from repro.runtime.engine import BatchPolicy, Engine
@@ -131,6 +138,14 @@ class TestBatchPolicy:
         assert engine.outstanding == 0
 
 
+def _run_hooked(stack, queries, hook):
+    """``stack.run("veltair_full", ...)`` with a completion hook."""
+    engine = Engine(stack.cost_model, price_cache=stack.price_cache,
+                    on_complete=hook)
+    completed = engine.run(queries, stack.make_scheduler("veltair_full"))
+    return completed, engine
+
+
 class TestOnCompleteAndDrain:
     def test_hook_fires_per_completion_in_order(self, light_stack):
         queries = poisson_queries(light_stack.compiled, _MIX, qps=80.0,
@@ -145,8 +160,7 @@ class TestOnCompleteAndDrain:
             seen.append((query.query_id, engine.now,
                          len(engine.completed)))
 
-        completed, engine = light_stack.run("veltair_full", queries,
-                                            on_complete=hook)
+        completed, engine = _run_hooked(light_stack, queries, hook)
         assert len(seen) == len(completed) == 24
         assert [qid for qid, _, _ in seen] == [q.query_id
                                                for q in completed]
@@ -171,8 +185,7 @@ class TestOnCompleteAndDrain:
                     arrival_s=engine.now,
                     qos_s=get_entry("mobilenet_v2").qos_s))
 
-        completed, _ = light_stack.run("veltair_full", queries,
-                                       on_complete=hook)
+        completed, _ = _run_hooked(light_stack, queries, hook)
         assert len(completed) == 13
         assert any(q.query_id == 10_000 for q in completed)
 
@@ -380,7 +393,7 @@ class TestFleetOfOne:
         with pytest.raises(ValueError, match="empty stream"):
             light_stack.run_stream("veltair_full", RequestStream())
 
-    def test_non_proxy_policy_skips_proxy_fit(self):
+    def test_non_proxy_policy_skips_proxy_fit(self, proxy_fits):
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              proxy_scenarios=60, artifact_store=None)
         outcome = stack.run_stream("layerwise", RequestStream(
@@ -389,7 +402,32 @@ class TestFleetOfOne:
         assert len(outcome.completed) == 6
         # layerwise and round_robin never read the proxy: the fleet of
         # one must not pay its fit.
-        assert not stack._proxy_ready
+        assert proxy_fits == []
+
+    def test_foreign_runtime_is_lazy(self, proxy_fits):
+        """Every device's runtime fits its proxy on first read only."""
+        stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
+                             proxy_scenarios=60, artifact_store=None)
+
+        def serve(policy: str) -> None:
+            fleet = ClusterSpec(name="edge+own", nodes=(
+                NodeSpec(name="edge", device=EDGE_NODE_32, policy=policy),
+                NodeSpec(name="own", device=stack.cpu, policy=policy)))
+            report = Cluster(stack, fleet, router="round_robin").serve(
+                poisson_queries(stack.compiled, _MONO, qps=40.0, count=6,
+                                seed=2))
+            assert report.completed == 6
+
+        # Neither layerwise nor round_robin reads a proxy, so neither
+        # the foreign device nor the stack's own pays a fit.
+        serve("layerwise")
+        assert proxy_fits == []
+        # veltair_full reads each node's proxy: one fit per device,
+        # memoised across serves.
+        serve("veltair_full")
+        assert len(proxy_fits) == 2
+        serve("veltair_full")
+        assert len(proxy_fits) == 2
 
 
 class TestBatchProfiles:

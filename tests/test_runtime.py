@@ -211,10 +211,6 @@ class TestEngine:
         with pytest.raises(RuntimeError, match="deadlock"):
             engine.run(queries, NeverStarts())
 
-    def test_rejects_bad_pressure_quantum(self, resnet_stack):
-        with pytest.raises(ValueError):
-            Engine(resnet_stack.cost_model, pressure_quantum=0.0)
-
     def test_deadlock_detected_behind_stale_events(self, resnet_stack):
         """The guard must not be fooled by a heap of stale events.
 
@@ -299,8 +295,8 @@ class TestHorizonAccounting:
                                   100, 5)  # arrivals at 10ms spacing
         engine = Engine(resnet_stack.cost_model)
         horizon = 0.012  # mid-flight of the first query's block
-        engine.run(queries, _WholeModelScheduler(resnet_stack, 32),
-                   horizon_s=horizon)
+        engine.begin(queries, _WholeModelScheduler(resnet_stack, 32))
+        engine.run_until(horizon)
         assert engine.metrics.last_event_s == pytest.approx(horizon)
         # The first block runs on 32 cores from t=0.01 to the horizon.
         assert engine.metrics.usage_core_seconds == pytest.approx(
@@ -310,8 +306,8 @@ class TestHorizonAccounting:
         queries = uniform_queries(resnet_stack.compiled, "resnet50",
                                   100, 5)
         engine = Engine(resnet_stack.cost_model)
-        engine.run(queries, _WholeModelScheduler(resnet_stack, 32),
-                   horizon_s=0.012)
+        engine.begin(queries, _WholeModelScheduler(resnet_stack, 32))
+        engine.run_until(0.012)
         # 32 cores busy over half the [0.01, 0.012] window span would be
         # reported as 32; the under-count bug reported 0-span inf/garbage.
         assert 0.0 < engine.metrics.average_cores_used <= 32.0
@@ -320,9 +316,9 @@ class TestHorizonAccounting:
         queries = uniform_queries(resnet_stack.compiled, "resnet50",
                                   100, 5)
         engine = Engine(resnet_stack.cost_model)
-        done = engine.run(queries, _WholeModelScheduler(resnet_stack, 32),
-                          horizon_s=0.001)
-        assert done == []
+        engine.begin(queries, _WholeModelScheduler(resnet_stack, 32))
+        engine.run_until(0.001)
+        assert engine.completed == []
         assert engine.metrics.first_event_s is None
         assert engine.metrics.usage_core_seconds == 0.0
 

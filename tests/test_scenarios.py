@@ -194,8 +194,12 @@ class TestScenarioSpec:
                               entries=(("mobilenet_v2", 1.0),))
         scenario = scenario_queries(light_stack.compiled, "uniform",
                                     80.0, 50, seed=17, spec=single)
-        assert ([q.arrival_s for q in legacy]
-                == [q.arrival_s for q in scenario])
+        # Bit for bit, not only the arrivals: reports_over_qps draws
+        # this scenario for the Fig. 3 uniform protocol.
+        assert ([(q.query_id, q.arrival_s, q.model.name, q.qos_s)
+                 for q in legacy]
+                == [(q.query_id, q.arrival_s, q.model.name, q.qos_s)
+                    for q in scenario])
 
     def test_qos_scaling_applies_per_class(self, light_stack):
         tight = ScenarioSpec(name="tight-light",
@@ -322,11 +326,6 @@ class TestExperimentThreading:
                            high_qps=300.0, seed=17,
                            scenario=get_scenario("bursty"))
         assert by_name.qps == by_spec.qps
-
-    def test_scenario_excludes_uniform_flag(self, light_stack):
-        with pytest.raises(ValueError, match="not both"):
-            sweep_qps(light_stack, "veltair_full", _SPEC, [50.0], 50,
-                      uniform=True, scenario="poisson")
 
     def test_stack_report_scenario(self, light_stack):
         default = light_stack.report("veltair_full", _SPEC, 120.0, 100,

@@ -118,13 +118,6 @@ class TestDynamicBlocks:
         assert plan.desired_cores <= resnet_stack.cpu.cores
         assert plan.desired_cores >= 1
 
-    def test_headroom_validation(self, resnet_stack):
-        from repro.scheduling.dynamic_block import DynamicBlockScheduler
-        with pytest.raises(ValueError):
-            DynamicBlockScheduler(resnet_stack.cost_model,
-                                  resnet_stack.profiles,
-                                  budget_headroom=0.0)
-
 
 class TestVeltairFull:
     def test_uses_proxy_estimate(self, resnet_stack):
@@ -174,12 +167,6 @@ class TestPrema:
         engine = Engine(light_stack.cost_model)
         done = engine.run(queries, light_stack.make_scheduler("prema"))
         assert len(done) == 30
-
-    def test_rejects_bad_quantum(self, resnet_stack):
-        from repro.scheduling.prema import PremaScheduler
-        with pytest.raises(ValueError):
-            PremaScheduler(resnet_stack.cost_model, resnet_stack.profiles,
-                           quantum_s=0.0)
 
 
 def _mix_spec():

@@ -126,16 +126,17 @@ class TestMaxQpsSearch:
                                1.0 if qps <= 330 else 0.0)
             return report
 
-        qps, report = max_qps_at_satisfaction(run, low_qps=10,
-                                              high_qps=400,
-                                              tolerance_qps=5)
+        qps, report = max_qps_at_satisfaction(
+            lambda loads: [run(qps) for qps in loads], low_qps=10,
+            high_qps=400, tolerance_qps=5)
         assert 320 <= qps <= 335
 
     def test_failing_floor_returned(self):
         def run(qps):
             return summarize([], SimulationMetrics(), qps)
 
-        qps, report = max_qps_at_satisfaction(run, low_qps=10)
+        qps, report = max_qps_at_satisfaction(
+            lambda loads: [run(qps) for qps in loads], low_qps=10)
         assert qps == 10
         assert report.satisfaction_rate == 0.0
 

@@ -245,8 +245,9 @@ class TestZeroCompletionGuard:
             object.__setattr__(report, "satisfaction_rate", 1.0)
             return report
 
-        qps, report = max_qps_at_satisfaction(run, low_qps=10,
-                                              high_qps=400)
+        qps, report = max_qps_at_satisfaction(
+            lambda loads: [run(qps) for qps in loads], low_qps=10,
+            high_qps=400)
         assert qps == 10
         assert report.completed == 0
 
