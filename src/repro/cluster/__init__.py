@@ -40,9 +40,7 @@ from repro.cluster.experiments import (
     AutoscalePoint,
     ClusterCapacityResult,
     cluster_capacity,
-    cluster_sweep_pool,
     sweep_autoscale,
-    sweep_cluster_qps,
 )
 from repro.cluster.fleet import Cluster, ClusterNode
 from repro.cluster.metrics import (
@@ -83,7 +81,7 @@ __all__ = [
     "AutoscaleController", "AutoscalePolicy", "FleetSignals",
     "ScalingEvent",
     "AutoscalePoint", "ClusterCapacityResult", "cluster_capacity",
-    "cluster_sweep_pool", "sweep_autoscale", "sweep_cluster_qps",
+    "sweep_autoscale",
     "Cluster", "ClusterNode",
     "ClusterReport", "NodeReport", "rollup",
     "PipelineRollup", "SessionReport", "StageReport",

@@ -1,11 +1,11 @@
-"""Fleet-level experiment drivers: load sweeps and capacity searches.
+"""Fleet-level experiment drivers: autoscale sweeps and capacity searches.
 
 The cluster analogues of :mod:`repro.serving.experiments`, on the same
-machinery: every offered-load point is an independent fleet simulation
-run through :func:`repro.parallel.sweep` (``fork``-ed workers inherit
-the compiled stack by copy-on-write, never pickled; platforms without
-``fork`` take the serial in-process path), with the same pre-fork
-warm-up and the same capacity bisection.
+machinery: every point is an independent fleet simulation run through
+:func:`repro.parallel.sweep` (``fork``-ed workers inherit the compiled
+stack by copy-on-write, never pickled; platforms without ``fork`` take
+the serial in-process path), with the same pre-fork warm-up and the
+same capacity bisection.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.fleet import Cluster
 from repro.cluster.metrics import ClusterReport
 from repro.cluster.spec import ClusterSpec
-from repro.parallel import point_pool, sweep
+from repro.parallel import sweep
 from repro.serving.experiments import bisect_capacity, warm_stack
 from repro.serving.server import ServingStack
 from repro.workloads.scenario import resolve_scenario
@@ -35,49 +35,6 @@ def _point(stack: ServingStack, cluster_spec: ClusterSpec, router: str,
                               scenario=scenario)
 
     return run
-
-
-def cluster_sweep_pool(stack: ServingStack, cluster_spec: ClusterSpec,
-                       spec: WorkloadSpec, count: int,
-                       router: str = "pressure_aware",
-                       admission: AdmissionPolicy | None = None,
-                       seed: int | None = None, workers: int = 2,
-                       scenario=None):
-    """A persistent fork pool for *repeated* sweeps of one fleet scenario.
-
-    The cluster twin of :func:`repro.serving.experiments.sweep_pool`,
-    with the same rationale and contract: workers survive across
-    :func:`sweep_cluster_qps` calls so their copy-on-write pricing
-    caches stay warm from one capacity-search round to the next, and
-    the pool yields ``None`` (the serial path) on platforms without
-    ``fork``.
-    """
-    key = (stack, cluster_spec, router, admission, spec, count, seed,
-           resolve_scenario(scenario))
-    return point_pool(_point(*key), workers, key=key, warm=lambda:
-                      warm_stack(stack, cluster_spec.device_specs))
-
-
-def sweep_cluster_qps(stack: ServingStack, cluster_spec: ClusterSpec,
-                      spec: WorkloadSpec, qps_values: list[float],
-                      count: int, router: str = "pressure_aware",
-                      admission: AdmissionPolicy | None = None,
-                      seed: int | None = None,
-                      workers: int | None = None,
-                      pool=None, scenario=None) -> list[ClusterReport]:
-    """One :class:`ClusterReport` per offered load, optionally parallel.
-
-    Same contract as :func:`repro.serving.experiments.sweep_qps`: every
-    point is deterministic per (seed, qps), workers > 1 forks a pool,
-    platforms without ``fork`` fail soft to the serial path, and a
-    :func:`cluster_sweep_pool` passed as ``pool`` reuses warm workers
-    across calls (its baked-in scenario must match these arguments).
-    """
-    key = (stack, cluster_spec, router, admission, spec, count, seed,
-           resolve_scenario(scenario))
-    return sweep(_point(*key), [float(qps) for qps in qps_values],
-                 workers=workers, pool=pool, key=key,
-                 warm=lambda: warm_stack(stack, cluster_spec.device_specs))
 
 
 @dataclass(frozen=True)
@@ -125,8 +82,8 @@ def sweep_autoscale(stack: ServingStack, static_spec: ClusterSpec,
     autoscaled fleet's starting membership (typically ``min_nodes``
     small nodes), and each point serves the *same* seeded stream
     through both.  ``workers > 1`` fans cells over the fork pool
-    exactly like :func:`sweep_cluster_qps`; platforms without ``fork``
-    fail soft to the serial path.
+    (:func:`repro.parallel.sweep`); platforms without ``fork`` fail
+    soft to the serial path.
     """
     cells = [(resolve_scenario(scenario), float(qps))
              for scenario, qps in points]

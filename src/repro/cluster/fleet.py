@@ -162,8 +162,6 @@ class Cluster:
         #: Every node of the most recent :meth:`serve`, in provision
         #: order, retired ones included (debugging handle).
         self.last_nodes: list[ClusterNode] | None = None
-        #: The most recent serve's autoscale controller (tick signals).
-        self.last_autoscale: AutoscaleController | None = None
         #: Every stage-level query the most recent serve offered, with
         #: realized arrival times — hand-offs and closed-loop follow-ups
         #: included.  ``record_trace(cluster.last_offered, ...)``
@@ -437,7 +435,6 @@ class Cluster:
         driver.trace_requests(window_end)
 
         self.last_nodes = all_nodes
-        self.last_autoscale = scaler
         self.last_offered = offered_log
         return rollup(
             offered=offered_log, node_results=node_results, shed=shed,

@@ -237,27 +237,17 @@ class ClusterReport:
 def rollup(offered: list[Query],
            node_results: list[tuple["object", list[Query], ServingReport]],
            shed: list[Query], deferrals: int, offered_qps: float,
-           router: str,
-           timeline: tuple[ScalingEvent, ...] = (),
-           peak_live_nodes: int | None = None,
-           window: tuple[float, float] | None = None,
-           pipelines: PipelineRollup | None = None,
-           sessions: tuple[SessionReport, ...] = ()) -> ClusterReport:
+           router: str, timeline: tuple[ScalingEvent, ...],
+           peak_live_nodes: int, window: tuple[float, float],
+           pipelines: PipelineRollup | None,
+           sessions: tuple[SessionReport, ...]) -> ClusterReport:
     """Fold per-node outcomes into one :class:`ClusterReport`.
 
     ``node_results`` is one ``(node, completed_queries, report)`` triple
-    per fleet member, where ``node`` exposes ``spec``/``assigned`` (the
-    fleet driver's :class:`~repro.cluster.fleet.ClusterNode`); lifecycle
-    attributes (``provisioned_s``/``retired_s``/``state``) and engine
-    core-usage integrals are read when present and default to a
-    whole-window static member otherwise.  ``window`` is the serve span
+    per fleet member (:class:`~repro.cluster.fleet.ClusterNode`s whose
+    lifecycle the serve has stamped).  ``window`` is the serve span
     (first arrival to last completion); ``timeline`` the scaling events.
     """
-    if window is None:
-        start = min(q.arrival_s for q in offered) if offered else 0.0
-        finishes = [q.finished_s for _, completed, _ in node_results
-                    for q in completed]
-        window = (start, max(finishes) if finishes else start)
     window_start, window_end = window
 
     node_reports = []
@@ -265,24 +255,16 @@ def rollup(offered: list[Query],
     core_seconds_used = 0.0
     for node, completed, report in node_results:
         satisfied = sum(1 for query in completed if query.satisfied)
-        provisioned = getattr(node, "provisioned_s", None)
-        if provisioned is None:
-            provisioned = window_start
-        retired = getattr(node, "retired_s", None)
-        if retired is None:
-            retired = window_end
-        engine = getattr(node, "engine", None)
-        if engine is not None:
-            core_seconds_used += engine.metrics.usage_core_seconds
+        core_seconds_used += node.engine.metrics.usage_core_seconds
         node_reports.append(NodeReport(
             name=node.spec.name, device_name=node.spec.device.name,
-            device_kind=getattr(node.spec, "device_kind", "cpu"),
+            device_kind=node.device_kind,
             cores=node.cores, policy=node.spec.policy,
             assigned=node.assigned, completed=len(completed),
             satisfied=satisfied, report=report,
-            provisioned_s=provisioned, retired_s=retired,
-            node_seconds=max(0.0, retired - provisioned),
-            final_state=getattr(node, "state", "live")))
+            provisioned_s=node.provisioned_s, retired_s=node.retired_s,
+            node_seconds=max(0.0, node.retired_s - node.provisioned_s),
+            final_state=node.state))
         all_completed.extend(completed)
 
     offered_count = len(offered)
@@ -351,8 +333,7 @@ def rollup(offered: list[Query],
         node_seconds=node_seconds,
         core_seconds_used=core_seconds_used,
         core_seconds_available=available,
-        peak_live_nodes=(peak_live_nodes if peak_live_nodes is not None
-                         else len(node_reports)),
+        peak_live_nodes=peak_live_nodes,
         scaling_timeline=tuple(timeline),
         pipelines=pipelines,
         sessions=sessions,

@@ -311,41 +311,6 @@ class ArtifactStore:
             return []
         return sorted(self.path.glob("art_*.json"))
 
-    def load(self) -> int:
-        """Read every valid disk entry into memory; returns the count.
-
-        Invalid entries are left on disk for :meth:`gc` to report.
-        """
-        loaded = 0
-        for entry in self._disk_entries():
-            try:
-                payload = json.loads(entry.read_text())
-            except (OSError, ValueError):
-                self.stats.corrupt += 1
-                continue
-            if (isinstance(payload, dict)
-                    and payload.get("schema") == ARTIFACT_SCHEMA
-                    and isinstance(payload.get("key"), str)):
-                self._memory[payload["key"]] = payload
-                loaded += 1
-            else:
-                self.stats.corrupt += 1
-        return loaded
-
-    def save(self) -> int:
-        """Flush every in-memory entry to disk; returns the count.
-
-        Normal operation writes through on :meth:`put`; this exists for
-        stores constructed in memory and given a path later, and for
-        the CLI's explicit warm step.
-        """
-        if self.path is None:
-            raise ValueError("store has no path; construct with a "
-                             "directory to save")
-        for key, payload in self._memory.items():
-            self._write_entry(key, payload)
-        return len(self._memory)
-
     def gc(self, drop_all: bool = False) -> list[str]:
         """Delete invalid (or, with ``drop_all``, every) disk entries.
 
@@ -394,9 +359,6 @@ class ArtifactStore:
                     qos_budget_s=payload.get("qos_budget_s"))
             rows.append(row)
         return rows
-
-    def __len__(self) -> int:
-        return len(self._memory)
 
 
 def resolve_store(store: "ArtifactStore | str | Path | None",

@@ -29,10 +29,6 @@ class Measured:
     def parallelism(self) -> int:
         return self.schedule.parallelism
 
-    @property
-    def locality_bytes(self) -> int:
-        return self.schedule.tile_footprint_bytes
-
 
 @dataclass(frozen=True)
 class SearchResult:

@@ -44,12 +44,6 @@ class MultiPassResult:
         """Total evaluations spent — the cost Alg. 1 eliminates."""
         return sum(p.trials for p in self.passes)
 
-    def best_for(self, interference: float) -> Schedule:
-        """Best known schedule for an arbitrary pressure level."""
-        nearest = min(range(len(self.levels)),
-                      key=lambda i: abs(self.levels[i] - interference))
-        return self.passes[nearest].best_schedule
-
 
 def multi_pass_search(scheduler: AutoScheduler, layer: LayerSpec,
                       levels: int = 4, trials_per_pass: int = 512,

@@ -60,10 +60,6 @@ class CompiledModel:
         """Per-layer retained version counts (paper Fig. 14c)."""
         return [layer.version_count for layer in self.layers]
 
-    @property
-    def total_versions(self) -> int:
-        return sum(self.version_counts)
-
 
 @dataclass
 class CompileStats:
@@ -248,26 +244,3 @@ class ModelCompiler:
         signature, budget = key
         self.store.put(artifact_key(self._context_fp, signature, budget),
                        self._context_fp, entry)
-
-    def compile_static(self, graph: ModelGraph, qos_s: float) -> CompiledModel:
-        """Single-version compilation: what a stock Ansor deployment ships.
-
-        Reuses the multi-version tables but pins every layer to its
-        isolation-optimal version — the static-compilation baseline of
-        the paper's evaluation (Planaria/PREMA rows of Table 1).
-        """
-        multi = self.compile_model(graph, qos_s)
-        pinned = []
-        for entry in multi.layers:
-            static_index = entry.version_for_level[0]
-            pinned.append(CompiledLayer(
-                layer=entry.layer,
-                qos_budget_s=entry.qos_budget_s,
-                levels=entry.levels,
-                versions=(entry.versions[static_index],),
-                latency_table=(entry.latency_table[static_index],),
-                version_for_level=tuple(0 for _ in entry.levels),
-                dominant_count=entry.dominant_count,
-                sample_count=entry.sample_count,
-            ))
-        return CompiledModel(graph=graph, qos_s=qos_s, layers=tuple(pinned))

@@ -76,9 +76,8 @@ class DeviceSpec:
       ``sustained_fraction`` and the derived ``*_flops*`` properties).
     * hierarchy: a per-unit private cache ``l2``, a shared ``llc``
       (the contended capacity resource), and ``dram``.
-    * interference surface: ``llc_share`` (capacity a grant can defend)
-      plus, per concrete kind, the contention sensitivities the cost
-      model reads.
+    * interference surface: per concrete kind, the contention
+      sensitivities the cost model reads.
 
     Subclasses are frozen dataclasses; the base class carries no fields
     so ``dataclasses.asdict`` payloads — and therefore artifact-store
@@ -162,19 +161,6 @@ class CpuSpec(DeviceSpec):
     def peak_flops(self) -> float:
         """Chip-wide theoretical peak flops/second."""
         return self.peak_flops_per_core * self.cores
-
-    def llc_share(self, cores: int) -> float:
-        """LLC capacity a task holding ``cores`` cores can expect to keep.
-
-        The 3990X LLC is physically banked per CCX; a task's effective share
-        scales with the share of cores it occupies, floored at one CCX-worth
-        so tiny tasks still see a useful slice.
-        """
-        if cores <= 0:
-            return 0.0
-        fraction = min(1.0, cores / self.cores)
-        one_bank = self.llc.capacity_bytes / max(1, self.cores // 4)
-        return max(one_bank, fraction * self.llc.capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -284,19 +270,6 @@ class AcceleratorSpec(DeviceSpec):
     def peak_flops(self) -> float:
         """Device-wide theoretical peak flops/second."""
         return self.peak_flops_per_core * self.sms
-
-    def llc_share(self, cores: int) -> float:
-        """Device-L2 capacity a kernel holding ``cores`` SMs can keep.
-
-        The shared L2 is not partitioned; a kernel's effective share
-        scales with its SM footprint, floored at 1/16th of the device
-        so small kernels still see a useful slice.
-        """
-        if cores <= 0:
-            return 0.0
-        fraction = min(1.0, cores / self.sms)
-        floor = self.llc.capacity_bytes / 16.0
-        return max(floor, fraction * self.llc.capacity_bytes)
 
 
 def threadripper_3990x() -> CpuSpec:

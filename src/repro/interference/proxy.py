@@ -213,7 +213,7 @@ def estimate_system_pressure(engine, proxy: LinearInterferenceProxy | None
         if accesses <= 0.0:
             return 0.0  # idle machine: nothing to interfere with
         return proxy.predict(miss_rate, accesses)
-    return engine.pressure(planning=True)
+    return engine.pressure()
 
 
 def fit_proxy(samples: list[ProxySample]) -> LinearInterferenceProxy:

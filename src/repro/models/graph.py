@@ -109,28 +109,6 @@ class ModelGraph:
         flush()
         return ModelGraph(name=self.name, layers=tuple(fused))
 
-    # -- block helpers -------------------------------------------------------
-
-    def block_slices(self, pivots: list[int]) -> list[tuple[int, int]]:
-        """Turn splitting pivots into half-open (start, stop) layer ranges.
-
-        A pivot is the index of a layer that *begins* a new block (paper
-        Sec. 4.2).  Index 0 is implicitly a block start.
-        """
-        starts = sorted({0, *pivots})
-        for pivot in starts:
-            if not 0 <= pivot < len(self.layers):
-                raise ValueError(f"pivot {pivot} out of range")
-        stops = starts[1:] + [len(self.layers)]
-        return list(zip(starts, stops))
-
-    def fixed_blocks(self, block_size: int) -> list[tuple[int, int]]:
-        """Contiguous blocks of ``block_size`` layers (last one may be short)."""
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        return [(start, min(start + block_size, len(self.layers)))
-                for start in range(0, len(self.layers), block_size)]
-
 
 def chain(name: str, layers: list[LayerSpec]) -> ModelGraph:
     """Convenience constructor for a branch-free model."""

@@ -101,17 +101,6 @@ class LayerSpec:
         """Flops per compulsory byte; low values mean memory-bound layers."""
         return self.flops / max(1, self.data_bytes)
 
-    @property
-    def is_memory_bound(self) -> bool:
-        """True when even perfect reuse cannot make the layer compute-bound.
-
-        The threshold (8 flops/byte) is roughly the machine balance point of
-        the modelled platform (2.6 Tflop/s vs 95 GB/s would be ~28, but
-        per-layer reuse raises effective intensity; 8 cleanly separates
-        pools/elementwise from convolutions).
-        """
-        return self.arithmetic_intensity < 8.0
-
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         g = self.gemm
         return f"{self.kind}({self.name}, M={g.m}, N={g.n}, K={g.k})"

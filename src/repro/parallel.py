@@ -69,23 +69,22 @@ def fork_worker_pool(workers: int, initializer: Callable | None = None,
 
 
 @contextlib.contextmanager
-def point_pool(fn: Callable, workers: int, key=None,
+def point_pool(fn: Callable, workers: int,
                warm: Callable[[], None] | None = None):
     """A persistent pool for repeated :func:`sweep` calls over ``fn``.
 
     Workers survive from one sweep to the next, so their copy-on-write
-    caches stay warm across the rounds of a capacity search.  ``key``
-    records the arguments ``fn`` was built from, so a sweep rejects a
-    pool built for other arguments.  ``warm`` runs before the fork and
-    builds what the workers read, so they share it copy-on-write.
-    Yields ``None`` where :func:`fork_worker_pool` does.
+    caches stay warm across the rounds of a capacity search.  ``warm``
+    runs before the fork and builds what the workers read, so they
+    share it copy-on-write.  Yields ``None`` where
+    :func:`fork_worker_pool` does.
     """
     if warm is not None:
         warm()
     with fork_worker_pool(workers, initializer=_install,
                           initargs=(fn,)) as pool:
         if pool is not None:
-            pool.point_fn, pool.point_key = fn, key
+            pool.point_fn = fn
         yield pool
 
 
@@ -100,23 +99,17 @@ def _map(pool, points: list) -> list:
 
 
 def sweep(fn: Callable, points: Sequence, workers: int | None = None,
-          pool=None, key=None, warm: Callable[[], None] | None = None
-          ) -> list:
+          pool=None, warm: Callable[[], None] | None = None) -> list:
     """``[fn(point) for point in points]``, optionally across processes.
 
-    Runs on ``pool`` (a :func:`point_pool`, whose ``key`` must equal
-    ``key``), else on an ephemeral pool of ``workers`` processes when
-    more than one is useful (``warm`` runs first), else serially
-    in-process.  Points are independent simulations, so every path
-    returns the same results in the same order; only wall-clock
-    differs.
+    Runs on ``pool`` (a :func:`point_pool` built over ``fn``), else on
+    an ephemeral pool of ``workers`` processes when more than one is
+    useful (``warm`` runs first), else serially in-process.  Points are
+    independent simulations, so every path returns the same results in
+    the same order; only wall-clock differs.
     """
     points = list(points)
     if pool is not None:
-        if pool.point_key != key:
-            raise ValueError(
-                "pool was created for a different sweep; build it with "
-                "the same arguments as the sweep that uses it")
         return _map(pool, points)
     requested = min(1 if workers is None else max(1, int(workers)),
                     len(points))

@@ -30,10 +30,6 @@ class CoreAllocator:
     def available(self) -> int:
         return self.total_cores - self.used
 
-    def holders(self) -> dict[int, int]:
-        """Snapshot of holder -> core count."""
-        return dict(self._held)
-
     def held_by(self, holder: int) -> int:
         return self._held.get(holder, 0)
 

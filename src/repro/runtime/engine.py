@@ -68,6 +68,11 @@ from repro.runtime.tasks import (
 #: so 0.05 keeps the engine well inside the model's own noise floor.
 _PRESSURE_QUANTUM = 0.05
 
+#: Soon-to-finish filter (paper Sec. 4.3): a running block with at most
+#: this fraction of its work left is ignored by :meth:`Engine.pressure`,
+#: because it vacates before a newly planned block feels it.
+_SOON_TO_FINISH_THRESHOLD = 0.10
+
 #: Compaction trigger: rebuild the heap once this many stale finish
 #: events have accumulated *and* they outnumber the live entries.
 _COMPACT_MIN_STALE = 64
@@ -144,7 +149,6 @@ class Engine:
     """The simulator core: event loop + running-block bookkeeping."""
 
     def __init__(self, cost_model: CostModel,
-                 soon_to_finish_threshold: float = 0.10,
                  price_cache: PricingCache | None = None,
                  incremental: bool = True,
                  tracer=None,
@@ -153,7 +157,7 @@ class Engine:
         self.cost_model = cost_model
         self.cpu = cost_model.cpu
         self.allocator = CoreAllocator(self.cpu.cores)
-        self.soon_to_finish_threshold = soon_to_finish_threshold
+        self.soon_to_finish_threshold = _SOON_TO_FINISH_THRESHOLD
         self.now = 0.0
         self.metrics = SimulationMetrics()
         #: Queries that arrived and have not started their first block.
@@ -226,18 +230,16 @@ class Engine:
     # pressure / introspection for schedulers
     # ------------------------------------------------------------------
 
-    def pressure(self, planning: bool = False) -> float:
-        """System pressure of every running block, capped at 1.0.
+    def pressure(self) -> float:
+        """Planning pressure of the running blocks, capped at 1.0.
 
-        With ``planning=True``, blocks whose remaining work fraction is
-        at or below the soon-to-finish threshold are ignored (paper
-        Sec. 4.3) — they will vacate before a newly planned block feels
-        them.
+        Blocks whose remaining work fraction is at or below
+        :attr:`soon_to_finish_threshold` are ignored (paper Sec. 4.3) —
+        they will vacate before a newly planned block feels them.
         """
         total = 0.0
         for block in self.running.values():
-            if planning and (1.0 - block.progress
-                             <= self.soon_to_finish_threshold):
+            if 1.0 - block.progress <= self.soon_to_finish_threshold:
                 continue
             total += block.pressure
         return min(1.0, total)
@@ -365,11 +367,7 @@ class Engine:
         """Duration-weighted pressure contribution of a block's layers."""
         batch = block.query.batch
         key = ("pressure", block.query.model.name, block.start_layer,
-               block.stop_layer, block.versions, block.cores)
-        if batch > 1:
-            # Appended only for fused batches so unbatched cache keys
-            # stay byte-identical to the pre-batching ones.
-            key = key + (batch,)
+               block.stop_layer, block.versions, block.cores, batch)
         cached = self.price_cache.get(key)
         if cached is not None:
             return cached
@@ -412,9 +410,7 @@ class Engine:
         """(duration, miss lines/s, access lines/s) for a block execution."""
         batch = block.query.batch
         key = (block.query.model.name, block.start_layer, block.stop_layer,
-               block.versions, block.cores, pressure)
-        if batch > 1:
-            key = key + (batch,)
+               block.versions, block.cores, pressure, batch)
         cached = self.price_cache.get(key)
         if cached is not None:
             return cached

@@ -75,9 +75,6 @@ class PricingCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def clear(self) -> None:
-        self._data.clear()
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

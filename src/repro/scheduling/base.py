@@ -152,7 +152,7 @@ class SpatialScheduler:
         #: bounded by ``BatchPolicy.max_batch``, so this stays tiny.
         self._batched_profiles: dict[tuple[str, int], ModelProfile] = {}
         #: The plan memo behind :meth:`layer_cores` and
-        #: :meth:`block_cores`.  Their keys are 4- and 5/6-tuples, so the
+        #: :meth:`block_cores`.  Their keys are 4- and 6-tuples, so the
         #: two calls never collide.
         self._plan_memo = PricingCache(max_entries=PLAN_MEMO_ENTRIES)
 
@@ -160,6 +160,11 @@ class SpatialScheduler:
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         raise NotImplementedError
+
+    def planning_pressure(self, engine: Engine) -> float:
+        """The pressure this policy plans against (recorded on traced
+        dispatches); policies that estimate it override this."""
+        return engine.pressure()
 
     def profile_for(self, query: Query) -> ModelProfile:
         try:
@@ -206,17 +211,15 @@ class SpatialScheduler:
         """Cores for layers ``[start, stop)`` of ``query`` as one block
         (see :func:`block_required_cores`).
 
-        Memoised on ``(model, start, stop, pressure, cap)``, plus the
-        batch when it is > 1.  The key leaves out ``versions`` and
-        ``budget_s``: a policy must derive both from the keyed values
-        alone, so that within one scheduler they are functions of the
-        key.  Every policy here does — versions come from the model and
-        the pressure, budgets from the model's (batch) profile and a
-        fixed per-scheduler headroom.
+        Memoised on ``(model, start, stop, pressure, cap, batch)``.  The
+        key leaves out ``versions`` and ``budget_s``: a policy must
+        derive both from the keyed values alone, so that within one
+        scheduler they are functions of the key.  Every policy here
+        does — versions come from the model and the pressure, budgets
+        from the model's (batch) profile and a fixed per-scheduler
+        headroom.
         """
-        key = (query.model.name, start, stop, pressure, cap)
-        if query.batch > 1:
-            key = key + (query.batch,)
+        key = (query.model.name, start, stop, pressure, cap, query.batch)
         cores = self._plan_memo.get(key)
         if cores is None:
             cores = block_required_cores(
@@ -256,17 +259,12 @@ class SpatialScheduler:
 
         Captures the plan (block boundary, demand vs grant, the picked
         version's parallelism knob) and the pressure the policy planned
-        against — via ``planning_pressure`` when the policy maintains
-        one (a cached, side-effect-free read), else the engine's
-        planning-mode pressure.
+        against (:meth:`planning_pressure`, a side-effect-free read).
         """
-        pressure_fn = getattr(self, "planning_pressure", None)
-        pressure = (pressure_fn(engine) if pressure_fn is not None
-                    else engine.pressure(planning=True))
         args = {"stop_layer": plan.stop_layer,
                 "desired": plan.desired_cores,
                 "granted": grant,
-                "pressure": pressure,
+                "pressure": self.planning_pressure(engine),
                 "parallelism": (plan.versions[0].parallelism
                                 if plan.versions else 0)}
         if query.batch > 1:

@@ -48,8 +48,7 @@ class ProportionalThresholdPolicy:
         if epoch != self._memo_epoch:
             self._memo_epoch = epoch
             self._memo.clear()
-        memo_key = (query.model.name if query.batch <= 1
-                    else (query.model.name, query.batch))
+        memo_key = (query.model.name, query.batch)
         cached = self._memo.get(memo_key)
         if cached is not None:
             return cached

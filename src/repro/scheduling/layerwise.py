@@ -46,16 +46,16 @@ class AdaptiveCompilationOnly(LayerWiseScheduler):
         super().__init__(cost_model, profiles)
         self.proxy = proxy
 
-    def interference_estimate(self, engine: Engine) -> float:
-        return estimate_system_pressure(engine, self.proxy)
+    def planning_pressure(self, engine: Engine) -> float:
+        """The interference estimate, quantized with the engine's
+        pricing quantum: finer keys than pricing resolves only fragment
+        the version/core-requirement caches."""
+        return engine.quantize_pressure(
+            estimate_system_pressure(engine, self.proxy))
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         index = query.next_layer
-        # Quantize with the engine's pricing quantum (not a hard-coded
-        # rounding): finer keys than pricing resolves only fragment the
-        # version/core-requirement caches.
-        pressure = engine.quantize_pressure(
-            self.interference_estimate(engine))
+        pressure = self.planning_pressure(engine)
         version = query.model.layers[index].version_for(pressure)
         desired = self.layer_cores(self.profile_for(query), index, version,
                                    pressure)

@@ -3,7 +3,6 @@
 from repro.serving.experiments import (
     CapacityResult,
     capacity,
-    latency_at_capacity,
     reports_over_qps,
     sweep_qps,
 )
@@ -26,8 +25,7 @@ from repro.serving.workload import (
 )
 
 __all__ = [
-    "CapacityResult", "capacity", "latency_at_capacity", "reports_over_qps",
-    "sweep_qps",
+    "CapacityResult", "capacity", "reports_over_qps", "sweep_qps",
     "ServingReport", "max_qps_at_satisfaction", "summarize",
     "POLICIES", "ServingStack",
     "WorkloadSpec", "class_mix", "full_mix", "poisson_queries",

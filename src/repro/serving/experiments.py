@@ -35,32 +35,6 @@ from repro.serving.server import ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
 
 
-def _resolve_scenario(scenario):
-    """Registered name -> spec (specs and ``None`` pass through).
-
-    Thin lazy-import shim over
-    :func:`repro.workloads.scenario.resolve_scenario` —
-    ``repro.workloads`` sits above this module in the layering.
-
-    Request-model scenarios (``closed_loop``/``pipeline``) are rejected
-    up front: these open-loop sweep drivers pre-draw a fixed stream per
-    QPS point, which a completion-driven scenario cannot express — run
-    those through :meth:`ServingStack.run_stream
-    <repro.serving.server.ServingStack.run_stream>` or
-    :meth:`Cluster.serve_stream <repro.cluster.fleet.Cluster.serve_stream>`.
-    """
-    if scenario is None:
-        return None
-    from repro.workloads.scenario import resolve_scenario
-    resolved = resolve_scenario(scenario)
-    if resolved is not None and resolved.request_model:
-        raise ValueError(
-            f"scenario {resolved.name!r} uses the request model "
-            "(closed-loop/pipeline); open-loop sweeps cannot drive it — "
-            "use ServingStack.run_stream or Cluster.serve_stream")
-    return resolved
-
-
 def warm_stack(stack: ServingStack, devices: tuple = ()) -> None:
     """Build every lazy artifact a sweep's workers read, before forking.
 
@@ -98,30 +72,10 @@ def _warm(stack: ServingStack, policy: str):
     return lambda: warm_stack(stack, (stack.cpu,) if proxied else ())
 
 
-def sweep_pool(stack: ServingStack, policy: str, spec: WorkloadSpec,
-               count: int, seed: int | None = None, workers: int = 2,
-               scenario=None):
-    """A persistent fork pool for *repeated* sweeps of one scenario.
-
-    Workers survive across :func:`sweep_qps` calls, so their
-    copy-on-write pricing caches stay warm from one capacity-search
-    round to the next — with an ephemeral pool per call, every round
-    would start cold and redo the block pricing the shared cache
-    exists to eliminate.  The sweep scenario is baked in at fork time;
-    only the offered loads may vary between calls.  Use as a context
-    manager; it yields ``None`` on platforms without ``fork``
-    (:func:`repro.parallel.fork_worker_pool`), which the sweep treats
-    as the serial path.
-    """
-    key = (stack, policy, spec, count, seed, _resolve_scenario(scenario))
-    return point_pool(_point(*key), workers, key=key,
-                      warm=_warm(stack, policy))
-
-
 def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
               qps_values: list[float], count: int,
               seed: int | None = None, workers: int | None = None,
-              pool=None, scenario=None) -> list[ServingReport]:
+              scenario=None) -> list[ServingReport]:
     """One report per offered load, optionally across worker processes.
 
     Every point is an independent simulation of ``count`` queries, so
@@ -129,16 +83,17 @@ def sweep_qps(stack: ServingStack, policy: str, spec: WorkloadSpec,
     pool (the compiled stack travels by copy-on-write, never pickled);
     ``workers`` of 1 or ``None``, or a platform without ``fork``, runs
     the points sequentially in-process — same results either way, the
-    simulations are deterministic per (seed, qps).  Pass a
-    :func:`sweep_pool` as ``pool`` to reuse warm workers across calls
-    (the pool's baked-in scenario must match these arguments).
+    simulations are deterministic per (seed, qps).
 
     A ``scenario`` (spec or registered name) replaces the arrival shape
-    wholesale.
+    wholesale.  Request-model scenarios (``closed_loop``/``pipeline``)
+    raise ``ValueError``: an open-loop sweep pre-draws a fixed stream
+    per point — run those through :meth:`ServingStack.run_stream
+    <repro.serving.server.ServingStack.run_stream>` or
+    :meth:`Cluster.serve_stream <repro.cluster.fleet.Cluster.serve_stream>`.
     """
-    key = (stack, policy, spec, count, seed, _resolve_scenario(scenario))
-    return sweep(_point(*key), [float(qps) for qps in qps_values],
-                 workers=workers, pool=pool, key=key,
+    return sweep(_point(stack, policy, spec, count, seed, scenario),
+                 [float(qps) for qps in qps_values], workers=workers,
                  warm=_warm(stack, policy))
 
 
@@ -208,18 +163,9 @@ def capacity(stack: ServingStack, policy: str, spec: WorkloadSpec,
     scales the scenario's mean rate instead of a stationary Poisson
     rate.
     """
-    point = _point(stack, policy, spec, count, seed,
-                   _resolve_scenario(scenario))
+    point = _point(stack, policy, spec, count, seed, scenario)
     qps, report = bisect_capacity(
         point, workers, _warm(stack, policy), target=target,
         low_qps=low_qps, high_qps=high_qps, tolerance_qps=tolerance_qps)
     return CapacityResult(policy=policy, workload=spec.name, qps=qps,
                           report=report)
-
-
-def latency_at_capacity(stack: ServingStack, policy: str,
-                        spec: WorkloadSpec, count: int,
-                        **capacity_kwargs) -> tuple[float, float]:
-    """(capacity QPS, average latency at that QPS) — Fig. 13 protocol."""
-    result = capacity(stack, policy, spec, count, **capacity_kwargs)
-    return result.qps, result.report.average_latency_s

@@ -16,7 +16,7 @@ pre-scenario results stay valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.config import make_rng
@@ -172,11 +172,6 @@ class ScenarioSpec:
             return RequestStream(pipelines=pipelines)
         return RequestStream(
             queries=self.queries(compiled, qps, count, seed=seed, spec=spec))
-
-    def with_workload(self, workload: WorkloadSpec) -> "ScenarioSpec":
-        """A copy of this scenario bundling ``workload``."""
-        return replace(self, name=f"{self.name}+{workload.name}",
-                       workload=workload)
 
 
 # ---------------------------------------------------------------------------

@@ -196,21 +196,6 @@ class TestArtifactStore:
         finally:
             locked.chmod(0o700)
 
-    def test_load_and_save(self, tmp_path, single_pass, compiled_conv,
-                           conv_layer):
-        fp = context_fingerprint(compiler_context(single_pass))
-        key = artifact_key(fp, conv_layer.signature, 500e-6)
-        memory_only = ArtifactStore()
-        memory_only.put(key, fp, compiled_conv)
-        with pytest.raises(ValueError):
-            memory_only.save()
-        disk = ArtifactStore(tmp_path / "store")
-        disk._memory.update(memory_only._memory)
-        assert disk.save() == 1
-        fresh = ArtifactStore(tmp_path / "store")
-        assert fresh.load() == 1
-        assert len(fresh) == 1
-
     def test_resolve_store(self, tmp_path, monkeypatch):
         monkeypatch.delenv(STORE_ENV, raising=False)
         assert resolve_store(None) is None
@@ -388,25 +373,19 @@ class TestServingStackStore:
                          use_proxy=False, artifact_store=None)
 
     def test_sweep_pool_forces_artifacts_before_fork(self):
-        from repro.serving.experiments import sweep_pool, sweep_qps
+        from repro.serving.experiments import sweep_qps
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              use_proxy=False, artifact_store=None)
         spec = single_model("mobilenet_v2")
         assert stack.compiler.stats.layers_total == 0
-        with sweep_pool(stack, "veltair_full", spec, count=20,
-                        seed=7, workers=2) as pool:
-            # Compile + profiles happened in the parent, pre-fork, so
-            # workers inherit them copy-on-write.
-            assert stack.compiler.stats.layers_total > 0
-            assert stack.profiles["mobilenet_v2"] is not None
-            reports = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
-                                count=20, seed=7, pool=pool)
-            if pool is not None:
-                # The workers simulate the fork-time arguments only.
-                with pytest.raises(ValueError, match="different sweep"):
-                    sweep_qps(stack, "veltair_full", spec, [50.0],
-                              count=10, seed=7, pool=pool)
+        reports = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
+                            count=20, seed=7, workers=2)
+        # The sweep's pool compiled and profiled in the parent,
+        # pre-fork, so its workers inherit both copy-on-write (a worker
+        # compiling privately would leave this stack cold).
+        assert stack.compiler.stats.layers_total > 0
+        assert stack.profiles["mobilenet_v2"] is not None
         serial = sweep_qps(stack, "veltair_full", spec, [50.0, 80.0],
                            count=20, seed=7)
         assert [r.average_latency_s for r in reports] == [
@@ -414,20 +393,21 @@ class TestServingStackStore:
 
     def test_sweep_pool_skips_proxy_fit_for_non_proxy_policies(
             self, proxy_fits):
-        from repro.serving.experiments import sweep_pool
+        from repro.serving.experiments import sweep_qps
 
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              proxy_scenarios=60, artifact_store=None)
         spec = single_model("mobilenet_v2")
-        with sweep_pool(stack, "layerwise", spec, count=10, seed=7,
-                        workers=2):
-            # layerwise never reads the proxy: the pre-fork warm-up
-            # must not pay the fit for it.
-            assert proxy_fits == []
-        with sweep_pool(stack, "veltair_full", spec, count=10, seed=7,
-                        workers=2):
-            # proxy-driven: fitted once, pre-fork
-            assert len(proxy_fits) == 1
+        sweep_qps(stack, "layerwise", spec, [50.0, 80.0], count=10,
+                  seed=7, workers=2)
+        # layerwise never reads the proxy: the sweep pool's pre-fork
+        # warm-up must not pay the fit for it.
+        assert proxy_fits == []
+        sweep_qps(stack, "veltair_full", spec, [50.0, 80.0], count=10,
+                  seed=7, workers=2)
+        # proxy-driven: fitted once, in the parent, pre-fork (a fit in
+        # a worker would not reach this list)
+        assert len(proxy_fits) == 1
 
     def test_fork_pool_fails_soft_in_daemonic_worker(self):
         # Pool workers are daemonic and may not have children (Pool()
@@ -467,3 +447,48 @@ class TestServingStackStore:
                              use_proxy=False)
         again.ensure_compiled()
         assert again.compiler.stats.compiled_fresh == 0
+
+
+def _cli_fields(output: str) -> dict[str, str]:
+    """``name: value`` lines of a ``python -m repro.compile`` report."""
+    fields = {}
+    for line in output.splitlines():
+        name, sep, value = line.strip().partition(":")
+        if sep:
+            fields[name] = value.strip()
+    return fields
+
+
+class TestStoreCli:
+    def test_warm_list_gc_path(self, tmp_path, capsys):
+        from repro.compile import main
+
+        store = str(tmp_path / "store")
+        warm = ["warm", "--models", "mobilenet_v2", "--trials", "64",
+                "--store", store]
+        assert main(warm) == 0
+        cold = _cli_fields(capsys.readouterr().out)
+        unique = int(cold["unique layers"])
+        assert int(cold["fresh compiles"]) == unique > 0
+        assert int(cold["store entries"]) == unique
+
+        # A second warm with the same knobs is served from the store.
+        assert main(warm) == 0
+        again = _cli_fields(capsys.readouterr().out)
+        assert int(again["store hits"]) == unique
+        assert int(again["fresh compiles"]) == 0
+
+        assert main(["list", "-v", "--store", store]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        assert f"{unique} entr(ies)" in listing[0]
+        assert "0 invalid" in listing[0]
+        assert len(listing) == 1 + unique
+        assert all(line.lstrip().startswith("ok ") for line in listing[1:])
+
+        assert main(["gc", "--all", "--store", store]) == 0
+        assert f"deleted {unique}, kept 0" in capsys.readouterr().out
+        assert main(["list", "--store", store]) == 0
+        assert capsys.readouterr().out.strip().endswith("empty")
+
+        assert main(["path", "--store", store]) == 0
+        assert capsys.readouterr().out.strip() == store

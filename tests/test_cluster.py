@@ -14,7 +14,6 @@ from repro.cluster import (
     homogeneous,
     make_router,
     mixed_fleet,
-    sweep_cluster_qps,
 )
 from repro.hardware.platform import (
     EDGE_NODE_32,
@@ -191,7 +190,7 @@ class TestIncrementalDrive:
         scheduler = VeltairScheduler(light_stack.cost_model,
                                      light_stack.profiles, proxy=None)
         engine = Engine(light_stack.cost_model)
-        engine.pressure = lambda planning=False: 0.237
+        engine.pressure = lambda: 0.237
         # round(, 2) would give 0.24; the 0.05 grid gives 0.25.
         assert scheduler.planning_pressure(engine) == pytest.approx(0.25)
 
@@ -426,12 +425,11 @@ class TestAdmission:
 
 class TestClusterExperiments:
     def test_sweep_shapes_and_determinism(self, light_stack):
-        serial = sweep_cluster_qps(light_stack, homogeneous(2), MIX,
-                                   [150.0, 300.0], count=40, seed=3)
-        assert [r.offered_qps for r in serial] == [150.0, 300.0]
-        again = sweep_cluster_qps(light_stack, homogeneous(2), MIX,
-                                  [150.0, 300.0], count=40, seed=3)
-        assert serial == again
+        cluster = Cluster(light_stack, homogeneous(2))
+        for qps in (150.0, 300.0):
+            report = cluster.report(MIX, qps, count=40, seed=3)
+            assert report.offered_qps == qps
+            assert report == cluster.report(MIX, qps, count=40, seed=3)
 
     def test_capacity_returns_passing_report(self, light_stack):
         result = cluster_capacity(light_stack, homogeneous(2), MIX,

@@ -62,24 +62,6 @@ class TestModelGraph:
         g = chain("x", [ew, fc]).fuse_elementwise()
         assert len(g) == 2
 
-    def test_block_slices_from_pivots(self):
-        g = _tiny_chain()
-        assert g.block_slices([2]) == [(0, 2), (2, 3)]
-        assert g.block_slices([]) == [(0, 3)]
-
-    def test_block_slices_rejects_bad_pivot(self):
-        with pytest.raises(ValueError):
-            _tiny_chain().block_slices([7])
-
-    def test_fixed_blocks_cover_everything(self):
-        g = _tiny_chain()
-        blocks = g.fixed_blocks(2)
-        assert blocks == [(0, 2), (2, 3)]
-
-    def test_fixed_blocks_rejects_zero(self):
-        with pytest.raises(ValueError):
-            _tiny_chain().fixed_blocks(0)
-
 
 class TestZooStats:
     """Known architecture facts — guards against silent zoo regressions."""

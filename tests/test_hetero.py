@@ -28,7 +28,6 @@ from repro.hardware import (
     DATACENTER_ACCEL_80,
     EDGE_NODE_32,
     THREADRIPPER_3990X,
-    AcceleratorSpec,
     CpuSpec,
     DeviceSpec,
     datacenter_accelerator_80,
@@ -55,9 +54,6 @@ class TestDeviceSpecs:
         assert accel.cores == accel.sms == accel.parallel_width == 80
         assert accel.thread_spawn_s == accel.stream_launch_s
         assert accel.peak_flops > THREADRIPPER_3990X.peak_flops
-        # Shared-cache sharing contract mirrors the CPU's llc_share.
-        assert 0 < accel.llc_share(1) <= accel.llc_share(80)
-        assert accel.llc_share(80) <= accel.llc.capacity_bytes
 
     def test_accelerator_validation(self):
         with pytest.raises(ValueError):

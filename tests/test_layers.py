@@ -52,11 +52,6 @@ class TestConv2D:
             Conv2D(name="c", height=8, width=8, in_channels=0,
                    out_channels=16)
 
-    def test_compute_bound_conv(self):
-        conv = Conv2D(name="c", height=14, width=14, in_channels=256,
-                      out_channels=256)
-        assert not conv.is_memory_bound
-
 
 class TestDepthwiseConv2D:
     def test_flops_hand_calculation(self):
@@ -67,10 +62,6 @@ class TestDepthwiseConv2D:
         dw = DepthwiseConv2D(name="d", height=14, width=14, channels=64)
         assert dw.gemm.m == 14 * 14 * 64
         assert dw.gemm.n == 1
-
-    def test_is_memory_bound(self):
-        dw = DepthwiseConv2D(name="d", height=56, width=56, channels=32)
-        assert dw.is_memory_bound
 
 
 class TestDense:
@@ -90,10 +81,6 @@ class TestPool:
                     kernel=3, stride=2)
         assert pool.out_height == 56
         assert pool.weight_bytes == 0
-
-    def test_memory_bound(self):
-        pool = Pool(name="p", height=56, width=56, channels=64)
-        assert pool.is_memory_bound
 
 
 class TestElementwise:

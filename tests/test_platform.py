@@ -70,23 +70,3 @@ class TestCpuSpec:
                     flops_per_cycle=8.0, sustained_fraction=0.5,
                     l2=THREADRIPPER_3990X.l2, llc=THREADRIPPER_3990X.llc,
                     dram=THREADRIPPER_3990X.dram)
-
-
-class TestLlcShare:
-    def test_zero_cores_zero_share(self):
-        assert THREADRIPPER_3990X.llc_share(0) == 0.0
-
-    def test_full_machine_gets_full_llc(self):
-        cpu = THREADRIPPER_3990X
-        assert cpu.llc_share(cpu.cores) == pytest.approx(
-            cpu.llc.capacity_bytes)
-
-    def test_share_monotonic_in_cores(self):
-        cpu = THREADRIPPER_3990X
-        shares = [cpu.llc_share(c) for c in range(1, cpu.cores + 1)]
-        assert all(a <= b for a, b in zip(shares, shares[1:]))
-
-    def test_small_task_floored_at_one_bank(self):
-        cpu = THREADRIPPER_3990X
-        one_bank = cpu.llc.capacity_bytes / (cpu.cores // 4)
-        assert cpu.llc_share(1) == pytest.approx(one_bank)

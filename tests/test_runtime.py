@@ -168,7 +168,6 @@ class TestEngine:
             task_id = _start_one_block(resnet_stack, engine)
             engine.running[task_id].pressure = 0.7
         assert engine.pressure() == 1.0
-        assert engine.pressure(planning=True) == 1.0
 
     def test_grow_block(self, resnet_stack):
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
@@ -328,24 +327,23 @@ class TestPlanningPressureBoundary:
     counts as soon-to-finish (inclusive boundary)."""
 
     def test_at_threshold_excluded(self, resnet_stack):
-        engine = Engine(resnet_stack.cost_model,
-                        soon_to_finish_threshold=0.25)
+        engine = Engine(resnet_stack.cost_model)
+        engine.soon_to_finish_threshold = 0.25
         task_id = _start_one_block(resnet_stack, engine)
         block = engine.running[task_id]
         block.progress = 0.75  # remaining == threshold exactly
-        assert engine.pressure(planning=True) == 0.0
-        assert engine.pressure() > 0.0  # non-planning still counts it
+        assert engine.pressure() == 0.0
 
     def test_below_threshold_excluded(self, resnet_stack):
-        engine = Engine(resnet_stack.cost_model,
-                        soon_to_finish_threshold=0.25)
+        engine = Engine(resnet_stack.cost_model)
+        engine.soon_to_finish_threshold = 0.25
         task_id = _start_one_block(resnet_stack, engine)
         engine.running[task_id].progress = 0.875
-        assert engine.pressure(planning=True) == 0.0
+        assert engine.pressure() == 0.0
 
     def test_above_threshold_included(self, resnet_stack):
-        engine = Engine(resnet_stack.cost_model,
-                        soon_to_finish_threshold=0.25)
+        engine = Engine(resnet_stack.cost_model)
+        engine.soon_to_finish_threshold = 0.25
         task_id = _start_one_block(resnet_stack, engine)
         engine.running[task_id].progress = 0.5
-        assert engine.pressure(planning=True) > 0.0
+        assert engine.pressure() > 0.0

@@ -242,11 +242,6 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="already registered"):
             register_scenario(get_scenario("poisson"))
 
-    def test_with_workload_bundles_and_renames(self):
-        combined = get_scenario("bursty").with_workload(_SPEC)
-        assert combined.workload == _SPEC
-        assert "bursty" in combined.name and "pair" in combined.name
-
 
 class TestTraceRoundTrip:
     def _stream(self, light_stack, count=150):

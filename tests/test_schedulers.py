@@ -6,7 +6,11 @@ import zlib
 import pytest
 
 from repro.runtime.engine import BatchPolicy, Engine
-from repro.serving.workload import poisson_queries, uniform_queries
+from repro.serving.workload import (
+    poisson_queries,
+    single_model,
+    uniform_queries,
+)
 from repro.serving.metrics import summarize
 from repro.scheduling.dynamic_block import ProportionalThresholdPolicy
 from repro.serving.server import POLICIES
@@ -139,6 +143,30 @@ class TestVeltairFull:
         assert multi, "expected at least one multi-version layer"
         entry = multi[0]
         assert entry.version_for(0.0) != entry.version_for(1.0)
+
+
+class TestBatchedLayerSizing:
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: SpatialScheduler.layer_cores sizes a batch-B layer "
+        "with the unbatched LayerSpec against its B x budget; the fix "
+        "moves the batch4 golden outcomes of veltair_ac and veltair_full"))
+    def test_adaptive_sizing_folds_the_batch(self, light_stack):
+        from repro.models.layers import batched
+        from repro.runtime.tasks import fuse_batch
+
+        query = fuse_batch(poisson_queries(
+            light_stack.compiled, single_model("mobilenet_v2"), 100.0, 4,
+            seed=1))
+        scheduler = light_stack.make_scheduler("veltair_ac")
+        plan = scheduler.plan(Engine(light_stack.cost_model), query)
+        # An idle engine plans at pressure 0: layer 0 at batch 4 must
+        # meet its batch-scaled budget as a batch-4 layer.
+        cost_model = light_stack.cost_model
+        budget = scheduler.profile_for(query).layer_budgets_s[0]
+        needed = cost_model.required_cores(
+            batched(query.model.graph.layers[0], 4), plan.versions[0],
+            max(budget - cost_model.launch_s, 1e-7), 0.0)
+        assert plan.desired_cores == needed
 
 
 class TestPrema:

@@ -127,6 +127,20 @@ class TestTracedRun:
                              engine.price_cache.stats()))
         assert counters[0] == counters[1]
 
+    def test_veltair_ac_dispatch_records_planned_pressure(self,
+                                                          light_stack):
+        """A dispatch event records the pressure the policy planned
+        with: veltair_ac plans on its quantized estimate."""
+        tracer = Tracer()
+        light_stack.report("veltair_ac", MIX, qps=300, count=60, seed=3,
+                           tracer=tracer)
+        pressures = [event.args["pressure"]
+                     for event in tracer.trace().events("dispatch")]
+        assert pressures
+        engine = Engine(light_stack.cost_model)
+        assert all(engine.quantize_pressure(pressure) == pressure
+                   for pressure in pressures)
+
     def test_trace_wellformed(self, traced_run):
         trace, report, _ = traced_run
         assert validate_trace(trace) == []
