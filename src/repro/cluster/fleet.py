@@ -4,13 +4,14 @@
 :meth:`ServingStack.run <repro.serving.server.ServingStack.run>`: it
 builds one :class:`~repro.runtime.engine.Engine` + policy per node over
 the stack's *shared* artifacts (one compile pass fleet-wide), then
-co-simulates them against a single arrival stream.  At each global
-arrival every active node is advanced to the arrival instant
-(:meth:`Engine.run_until`), the admission controller rules on the offer,
-the router picks a node from live fleet state, and the query is injected
-into that node's event loop (:meth:`Engine.submit`) — so routing
-decisions see exactly the node states a real front-end would observe at
-that moment, not a post-hoc assignment.
+co-simulates them against a single arrival stream.  A serve is one run
+object whose heap holds offers, autoscale ticks and node joins.  At
+each event time every active node is advanced to that instant
+(:meth:`Engine.run_until`); an offer then passes admission, the router
+picks a node from live fleet state, and the query is injected into that
+node's event loop (:meth:`Engine.submit`) — so routing decisions see
+exactly the node states a real front-end would observe at that moment,
+not a post-hoc assignment.
 
 Request-model streams run through the same loop with a
 :class:`~repro.workloads.requests.RequestDriver` attached: a completion
@@ -22,19 +23,21 @@ a fleet of one: :meth:`ServingStack.run_stream
 ``round_robin`` serve.
 
 Fleet membership is dynamic: with an
-:class:`~repro.cluster.autoscale.AutoscalePolicy` the serve loop
-interleaves control ticks into the offer heap, provisions nodes from
-the policy's template (with a warm-up delay before they join the
-routing set), and drains nodes out (they leave the routing set, finish
-their in-flight work, then retire and stop being driven).  Routers and
-admission only ever see the *live* membership; the scaling timeline and
-per-node lifecycle land in the :class:`~repro.cluster.metrics.ClusterReport`.
+:class:`~repro.cluster.autoscale.AutoscalePolicy` the control ticks
+provision nodes from the policy's template (with a warm-up delay before
+they join the routing set) and drain nodes out (they leave the routing
+set, finish their in-flight work, then retire and stop being driven).
+Ticks run while an offer is pending and, for a closed loop or pipeline,
+while any node has work in flight.  Routers and admission only ever see
+the *live* membership; the scaling timeline and per-node lifecycle land
+in the :class:`~repro.cluster.metrics.ClusterReport`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import replace
 
 from repro.cluster.admission import (
@@ -72,11 +75,6 @@ from repro.serving.metrics import summarize
 from repro.serving.server import ServingStack
 from repro.serving.workload import WorkloadSpec, scenario_queries
 from repro.workloads.requests import RequestDriver, RequestStream
-
-#: Serve-loop event kinds (never compared: sequence numbers are unique).
-_OFFER = "offer"
-_TICK = "tick"
-_JOIN = "join"
 
 
 class ClusterNode:
@@ -117,11 +115,6 @@ class ClusterNode:
     @property
     def cores(self) -> int:
         return self.spec.device.cores
-
-    @property
-    def width(self) -> int:
-        """The node's parallel width (cores or SMs) — routing units."""
-        return self.spec.device.parallel_width
 
     @property
     def device_kind(self) -> str:
@@ -168,37 +161,6 @@ class Cluster:
         #: captures a feedback-shaped stream for open-loop replay.
         self.last_offered: list[Query] | None = None
 
-    @staticmethod
-    def _retire_time(node: ClusterNode) -> float:
-        """When a drained node actually emptied: its last finish."""
-        completed = node.engine.completed
-        finish = completed[-1].finished_s if completed else None
-        retired = node.drain_started_s
-        if finish is not None and finish > retired:
-            retired = finish
-        return retired
-
-    @classmethod
-    def _retire_drained(cls, all_nodes: list[ClusterNode],
-                        routable: list[ClusterNode],
-                        timeline: list[ScalingEvent]) -> None:
-        """Retire every emptied draining node at its actual last finish.
-
-        Concurrently draining nodes empty at their own last-finish
-        instants; retiring them in node-index order would stamp the
-        timeline out of chronological order.
-        """
-        emptied = [node for node in all_nodes
-                   if node.state == DRAINING
-                   and node.engine.outstanding == 0]
-        emptied.sort(key=lambda node: (cls._retire_time(node), node.index))
-        for node in emptied:
-            node.retired_s = cls._retire_time(node)
-            node.state = RETIRED
-            timeline.append(ScalingEvent(
-                time_s=node.retired_s, action=RETIRE, node=node.spec.name,
-                live_nodes=len(routable)))
-
     def serve(self, queries: list[Query],
               offered_qps: float | None = None,
               tracer=None) -> ClusterReport:
@@ -229,161 +191,258 @@ class Cluster:
         :attr:`ClusterReport.sessions` rollups.  A stream holding only
         plain ``queries`` serves exactly like :meth:`serve`.
         """
-        seq = itertools.count()
-        #: The serve heap: offers (deferred queries re-pushed at their
-        #: re-offer instant with the attempt count bumped, request
-        #: follow-ups pushed by the driver), autoscale control ticks and
-        #: node-join events.
-        events: list = []
+        run = _FleetRun(self, stream, tracer)
+        run.drive()
+        self.last_nodes = run.nodes
+        self.last_offered = run.driver.issued
+        return run.finish(offered_qps)
+
+    def report(self, spec: WorkloadSpec, qps: float, count: int,
+               seed: int | None = None, scenario=None,
+               tracer=None) -> ClusterReport:
+        """Generate a stream, serve it fleet-wide, summarise.
+
+        Default arrivals are the stationary Poisson stream; a
+        ``scenario`` (:class:`repro.workloads.ScenarioSpec` or
+        registered name) swaps in any trace-driven shape at mean rate
+        ``qps`` — the fleet twin of ``ServingStack.report``.
+        ``tracer`` records the serve (see :meth:`serve`).
+        """
+        queries = scenario_queries(
+            self.stack.compiled, scenario, qps, count,
+            seed=self.stack.seed if seed is None else seed, spec=spec)
+        return self.serve(queries, offered_qps=qps, tracer=tracer)
+
+
+class _FleetRun:
+    """One serve of a stream: the fleet's state and its event handlers.
+
+    Heap entries are ``(time, seq, handler, payload)``: offers
+    (:meth:`_route`, re-pushed on deferral), autoscale ticks
+    (:meth:`_tick`) and node joins (:meth:`_join`).  Sequence numbers
+    are unique, so handlers are never compared.
+    """
+
+    def __init__(self, cluster: Cluster, stream: RequestStream,
+                 tracer) -> None:
+        self.cluster = cluster
+        self.tracer = tracer
+        self.events: list = []
+        self._seq = itertools.count()
         #: Offers not yet resolved.
-        pending = 0
-
-        def offer(query: Query, at: float, attempts: int = 0) -> None:
-            nonlocal pending
-            heapq.heappush(events, (at, next(seq), _OFFER,
-                                    (attempts, query)))
-            pending += 1
-
-        driver = RequestDriver(
-            stream, lambda query: offer(query, query.arrival_s), tracer)
-        queries = list(driver.issued)
+        self.pending = 0
+        # The driver reaches the run weakly: a strong callback would
+        # close a run -> driver -> run cycle that keeps a finished
+        # serve's engines alive until the cyclic collector runs.
+        run = weakref.proxy(self)
+        self.driver = RequestDriver(
+            stream, lambda query: run.offer(query, query.arrival_s), tracer)
+        queries = sorted(self.driver.issued,
+                         key=lambda q: (q.arrival_s, q.query_id))
         if not queries:
             raise ValueError("cannot serve an empty stream")
-        for query in sorted(queries, key=lambda q: (q.arrival_s,
-                                                     q.query_id)):
-            offer(query, query.arrival_s)
+        for query in queries:
+            self.offer(query, query.arrival_s)
         # Only pipelines and tenants turn completions into new offers.
-        hook = driver.on_complete if stream.interactive else None
-
-        def build_node(index: int, spec: NodeSpec) -> ClusterNode:
-            return ClusterNode(index, spec, self.stack, tracer=tracer,
-                               on_complete=hook)
-
+        self.hook = self.driver.on_complete if stream.interactive else None
+        self.start_s = queries[0].arrival_s
         #: Every node ever provisioned, in provision order (ascending
         #: ``index``); membership state lives on the nodes.
-        all_nodes = [build_node(index, spec)
-                     for index, spec in enumerate(self.spec.nodes)]
-        router = make_router(self.router)
-        #: Score-based routers publish per-node scores when this is set.
-        router.tracer = tracer
-        controller = (AdmissionController(self.admission)
-                      if self.admission is not None else None)
-        scaler = (AutoscaleController(self.autoscale)
-                  if self.autoscale is not None else None)
-
-        start_s = min(query.arrival_s for query in queries)
-        for node in all_nodes:
-            node.provisioned_s = start_s
+        self.nodes: list[ClusterNode] = []
+        for spec in cluster.spec.nodes:
+            self._add_node(spec, self.start_s)
         #: The routing set: live nodes, ascending index (provisioned
         #: nodes join strictly after every earlier join).
-        routable = list(all_nodes)
-        timeline: list[ScalingEvent] = []
-        peak_live = len(routable)
-        auto_names = itertools.count(1)
-        if scaler is not None:
-            heapq.heappush(events, (start_s + self.autoscale.tick_s,
-                                    next(seq), _TICK, None))
-        shed: list[Query] = []
-        last_advance = float("-inf")
+        self.routable = list(self.nodes)
+        self.router = make_router(cluster.router)
+        #: Score-based routers publish per-node scores when this is set.
+        self.router.tracer = tracer
+        self.controller = (AdmissionController(cluster.admission)
+                           if cluster.admission is not None else None)
+        self.scaler = (AutoscaleController(cluster.autoscale)
+                       if cluster.autoscale is not None else None)
+        self.timeline: list[ScalingEvent] = []
+        self._auto_names = itertools.count(1)
+        self.shed: list[Query] = []
+        self._last_advance = float("-inf")
+        if self.scaler is not None:
+            self._push(self.start_s + cluster.autoscale.tick_s, self._tick)
 
-        def advance(to: float) -> None:
-            """Drive every node that still has or may get work to ``to``."""
-            nonlocal last_advance
-            for node in all_nodes:
-                if node.state != RETIRED:
-                    node.engine.run_until(to)
-            last_advance = to
-            self._retire_drained(all_nodes, routable, timeline)
+    def _push(self, at: float, handler, payload=None) -> None:
+        heapq.heappush(self.events, (at, next(self._seq), handler, payload))
 
+    def _add_node(self, spec: NodeSpec, now: float) -> ClusterNode:
+        node = ClusterNode(len(self.nodes), spec, self.cluster.stack,
+                           tracer=self.tracer, on_complete=self.hook)
+        node.provisioned_s = now
+        self.nodes.append(node)
+        return node
+
+    def offer(self, query: Query, at: float, attempts: int = 0) -> None:
+        """Queue ``query`` for admission and routing at ``at``."""
+        self._push(at, self._route, (attempts, query))
+        self.pending += 1
+
+    def drive(self) -> None:
+        """Handle events in time order; with pipelines or tenants, also
+        step the nodes until none has an event left."""
+        events = self.events
         while True:
-            if hook is not None:
+            if self.hook is not None:
                 # Causal step: a completion may offer work at its own
                 # instant, so no node runs past its next event while an
                 # offer could still land before it.  Ties go to the
                 # nodes, as in every advance.
                 step = min((t for t in (node.engine.next_event_s()
-                                        for node in all_nodes
+                                        for node in self.nodes
                                         if node.state != RETIRED)
                             if t is not None), default=None)
                 if step is not None and (not events
                                          or step <= events[0][0]):
-                    advance(step)
+                    self._advance(step)
                     continue
             if not events:
-                break
-            now, _, kind, payload = heapq.heappop(events)
-            if now > last_advance:
+                return
+            now, _, handler, payload = heapq.heappop(events)
+            if now > self._last_advance:
                 # One advance per distinct event time: re-offers and
                 # simultaneous arrivals share it.
-                advance(now)
+                self._advance(now)
+            handler(now, payload)
 
-            if kind == _TICK:
-                if pending > 0:
-                    self._autoscale_tick(scaler, all_nodes, routable,
-                                         timeline, events, seq,
-                                         auto_names, now, build_node)
-                    heapq.heappush(
-                        events, (now + self.autoscale.tick_s, next(seq),
-                                 _TICK, None))
-                continue
-            if kind == _JOIN:
-                node = payload
-                node.state = LIVE
-                routable.append(node)
-                peak_live = max(peak_live, len(routable))
-                timeline.append(ScalingEvent(
-                    time_s=now, action=JOIN, node=node.spec.name,
-                    live_nodes=len(routable)))
-                continue
+    def _advance(self, to: float) -> None:
+        """Drive every node that still has or may get work to ``to``."""
+        for node in self.nodes:
+            if node.state != RETIRED:
+                node.engine.run_until(to)
+        self._last_advance = to
+        self._retire_drained()
 
-            pending -= 1
-            attempts, query = payload
-            if controller is not None:
-                decision = controller.decide(routable, query, attempts)
-                if decision == DEFER:
-                    offer(query, now + controller.policy.defer_s,
-                          attempts + 1)
-                    if tracer is not None:
-                        tracer.event("admission.defer", now, cat="cluster",
-                                     qid=query.query_id,
-                                     args={"attempts": attempts})
-                    continue
-                if decision != ADMIT:
-                    shed.append(query)
-                    if tracer is not None:
-                        tracer.event("admission.shed", now, cat="cluster",
-                                     qid=query.query_id,
-                                     args={"attempts": attempts})
-                    driver.on_shed(query, now)
-                    continue
-            node = router.choose(routable, query, now)
-            if tracer is not None:
-                args = {"node": node.spec.name, "attempts": attempts}
-                if router.last_scores is not None:
-                    args["scores"] = router.last_scores
-                    router.last_scores = None
-                tracer.event("route", now, cat="cluster",
-                             node=node.spec.name, qid=query.query_id,
-                             args=args)
-            node.engine.submit(query, at=now)
-            node.assigned += 1
-            # Process the arrival at its own instant so the next offer
-            # at the same timestamp routes on fresh node state.
-            node.engine.run_until(now)
+    def _retire_drained(self) -> None:
+        """Retire every emptied draining node at its actual last finish.
 
-        # Tail: an open-loop serve finishes each node's in-flight work
-        # here (the causal loop leaves nothing to drain), then lifecycle
-        # is stamped.
-        for node in all_nodes:
+        Concurrently draining nodes empty at their own last-finish
+        instants, so they retire in (retire time, index) order: the
+        timeline stays chronological.
+        """
+        emptied = []
+        for node in self.nodes:
+            if node.state == DRAINING and node.engine.outstanding == 0:
+                completed = node.engine.completed
+                retired = node.drain_started_s
+                if completed and completed[-1].finished_s > retired:
+                    retired = completed[-1].finished_s
+                emptied.append((retired, node.index, node))
+        for retired, _, node in sorted(emptied):
+            node.retired_s = retired
+            node.state = RETIRED
+            self.timeline.append(ScalingEvent(
+                time_s=retired, action=RETIRE, node=node.spec.name,
+                live_nodes=len(self.routable)))
+
+    def _route(self, now: float, payload: tuple[int, Query]) -> None:
+        """An offer: admission, then routing and submission."""
+        self.pending -= 1
+        attempts, query = payload
+        controller, tracer = self.controller, self.tracer
+        if controller is not None:
+            decision = controller.decide(self.routable, query, attempts)
+            if decision == DEFER:
+                self.offer(query, now + controller.policy.defer_s,
+                           attempts + 1)
+                if tracer is not None:
+                    tracer.event("admission.defer", now, cat="cluster",
+                                 qid=query.query_id,
+                                 args={"attempts": attempts})
+                return
+            if decision != ADMIT:
+                self.shed.append(query)
+                if tracer is not None:
+                    tracer.event("admission.shed", now, cat="cluster",
+                                 qid=query.query_id,
+                                 args={"attempts": attempts})
+                self.driver.on_shed(query, now)
+                return
+        node = self.router.choose(self.routable, query, now)
+        if tracer is not None:
+            args = {"node": node.spec.name, "attempts": attempts}
+            if self.router.last_scores is not None:
+                args["scores"] = self.router.last_scores
+                self.router.last_scores = None
+            tracer.event("route", now, cat="cluster", node=node.spec.name,
+                         qid=query.query_id, args=args)
+        node.engine.submit(query, at=now)
+        node.assigned += 1
+        # Process the arrival at its own instant so the next offer at
+        # the same timestamp routes on fresh node state.
+        node.engine.run_until(now)
+
+    def _tick(self, now: float, _) -> None:
+        """A control tick: feed the SLO window, maybe resize the fleet.
+
+        Ticks re-arm while an offer is pending or, with pipelines or
+        tenants, while work is in flight: a zero-think closed loop never
+        has an offer pending at a tick.
+        """
+        in_flight = self.hook is not None and any(
+            node.engine.outstanding for node in self.nodes)
+        if self.pending == 0 and not in_flight:
+            return
+        scaler, policy = self.scaler, self.cluster.autoscale
+        for node in self.nodes:
+            completed = node.engine.completed
+            if node._slo_cursor < len(completed):
+                scaler.observe_completions(completed[node._slo_cursor:])
+                node._slo_cursor = len(completed)
+        warming = sum(1 for node in self.nodes if node.state == WARMING)
+        delta = scaler.decide(now, self.routable, warming)
+        for _ in range(delta):
+            # A warming node from the template, joined after warm-up.
+            # Spin-up goes through stack.runtime_for: it re-profiles for
+            # the template's device but never recompiles.
+            name = f"{policy.template.name}-{next(self._auto_names)}"
+            node = self._add_node(replace(policy.template, name=name), now)
+            node.state = WARMING
+            self.timeline.append(ScalingEvent(
+                time_s=now, action=PROVISION, node=name,
+                live_nodes=len(self.routable), reason=scaler.reason()))
+            self._push(now + policy.warmup_s, self._join, node)
+        if delta < 0:
+            # Drain the emptiest live node; prefer the youngest on ties
+            # (scale-in releases the most recently acquired capacity).
+            victim = min(self.routable,
+                         key=lambda n: (n.engine.outstanding, -n.index))
+            self.routable.remove(victim)
+            victim.state = DRAINING
+            victim.drain_started_s = now
+            self.timeline.append(ScalingEvent(
+                time_s=now, action=DRAIN, node=victim.spec.name,
+                live_nodes=len(self.routable), reason=scaler.reason()))
+            self._retire_drained()
+        self._push(now + policy.tick_s, self._tick)
+
+    def _join(self, now: float, node: ClusterNode) -> None:
+        """A warmed-up node enters the routing set."""
+        node.state = LIVE
+        self.routable.append(node)
+        self.timeline.append(ScalingEvent(
+            time_s=now, action=JOIN, node=node.spec.name,
+            live_nodes=len(self.routable)))
+
+    def finish(self, offered_qps: float | None) -> ClusterReport:
+        """Drain the tail, stamp lifecycles and roll the serve up."""
+        # An open-loop serve finishes each node's in-flight work here
+        # (the causal loop leaves nothing to drain).
+        for node in self.nodes:
             if node.state != RETIRED:
                 node.engine.drain()
-        self._retire_drained(all_nodes, routable, timeline)
-        offered_log = driver.issued
+        self._retire_drained()
+        offered_log = self.driver.issued
         window_end = max(
             [query.arrival_s for query in offered_log]
             + [node.engine.completed[-1].finished_s
-               for node in all_nodes if node.engine.completed])
-        for node in all_nodes:
+               for node in self.nodes if node.engine.completed])
+        for node in self.nodes:
             if node.retired_s is None:
                 node.retired_s = window_end
 
@@ -401,9 +460,9 @@ class Cluster:
         # so dividing by the full offered count would under-state every
         # node's load whenever the controller sheds (and the per-node
         # offered rates would no longer sum to the fleet rate).
-        admitted_total = sum(node.assigned for node in all_nodes)
+        admitted_total = sum(node.assigned for node in self.nodes)
         node_results = []
-        for node in all_nodes:
+        for node in self.nodes:
             completed = node.engine.completed
             share = (node.assigned / admitted_total if admitted_total
                      else 0.0)
@@ -411,95 +470,43 @@ class Cluster:
                                offered_qps * share)
             node_results.append((node, completed, report))
 
-        if tracer is not None:
-            # The scaling timeline and the controller's per-tick signals
-            # are appended once the serve loop has finished — identical
-            # data to inline emission, and the controller itself stays
-            # untouched by telemetry.  The fleet.signals counters follow
-            # repro.telemetry.FLEET_SIGNAL_FIELDS, making a recorded
-            # trace double as an offline training set for learned
-            # routers (one sample per control tick, with the scale.*
-            # decisions interleaved by timestamp).
-            for event in timeline:
-                args = {"live_nodes": event.live_nodes}
-                if event.reason:
-                    args["reason"] = event.reason
-                tracer.event(f"scale.{event.action}", event.time_s,
-                             cat="autoscale", node=event.node, args=args)
-            if scaler is not None:
-                for signal in scaler.signals:
-                    tracer.counter(
-                        "fleet.signals", signal.time_s,
-                        {field: getattr(signal, field)
-                         for field in FLEET_SIGNAL_FIELDS})
-        driver.trace_requests(window_end)
-
-        self.last_nodes = all_nodes
-        self.last_offered = offered_log
+        if self.tracer is not None:
+            self._trace_control_plane()
+        self.driver.trace_requests(window_end)
+        # Only a join grows the routing set, and every scaling event
+        # records the live count after its transition.
+        peak_live = max([len(self.cluster.spec.nodes)]
+                        + [event.live_nodes for event in self.timeline])
         return rollup(
-            offered=offered_log, node_results=node_results, shed=shed,
-            deferrals=controller.deferrals if controller else 0,
-            offered_qps=offered_qps, router=router.name,
-            timeline=tuple(timeline), peak_live_nodes=peak_live,
-            window=(start_s, window_end),
-            pipelines=pipeline_rollup(stream.pipelines),
-            sessions=session_reports(stream.tenants))
+            offered=offered_log, node_results=node_results, shed=self.shed,
+            deferrals=self.controller.deferrals if self.controller else 0,
+            offered_qps=offered_qps, router=self.router.name,
+            timeline=tuple(self.timeline), peak_live_nodes=peak_live,
+            window=(self.start_s, window_end),
+            pipelines=pipeline_rollup(self.driver.stream.pipelines),
+            sessions=session_reports(self.driver.stream.tenants))
 
-    def _autoscale_tick(self, scaler: AutoscaleController,
-                        all_nodes: list[ClusterNode],
-                        routable: list[ClusterNode],
-                        timeline: list[ScalingEvent], events: list,
-                        seq, auto_names, now: float, build_node) -> None:
-        """One control tick: feed the SLO window, maybe resize the fleet."""
-        for node in all_nodes:
-            completed = node.engine.completed
-            if node._slo_cursor < len(completed):
-                scaler.observe_completions(completed[node._slo_cursor:])
-                node._slo_cursor = len(completed)
-        warming = sum(1 for node in all_nodes if node.state == WARMING)
-        delta = scaler.decide(now, routable, warming)
-        if delta > 0:
-            for _ in range(delta):
-                name = f"{self.autoscale.template.name}-{next(auto_names)}"
-                # A warming node from the template, joined after warm-up.
-                # Spin-up goes through stack.runtime_for: it re-profiles
-                # for the template's device but never recompiles.
-                node = build_node(len(all_nodes),
-                                  replace(self.autoscale.template, name=name))
-                node.state = WARMING
-                node.provisioned_s = now
-                all_nodes.append(node)
-                timeline.append(ScalingEvent(
-                    time_s=now, action=PROVISION, node=name,
-                    live_nodes=len(routable), reason=scaler.reason()))
-                heapq.heappush(
-                    events, (now + self.autoscale.warmup_s, next(seq),
-                             _JOIN, node))
-        elif delta < 0:
-            # Drain the emptiest live node; prefer the youngest on ties
-            # (scale-in releases the most recently acquired capacity).
-            victim = min(routable,
-                         key=lambda n: (n.engine.outstanding, -n.index))
-            routable.remove(victim)
-            victim.state = DRAINING
-            victim.drain_started_s = now
-            timeline.append(ScalingEvent(
-                time_s=now, action=DRAIN, node=victim.spec.name,
-                live_nodes=len(routable), reason=scaler.reason()))
-            self._retire_drained(all_nodes, routable, timeline)
+    def _trace_control_plane(self) -> None:
+        """Record the scaling timeline and the per-tick signals.
 
-    def report(self, spec: WorkloadSpec, qps: float, count: int,
-               seed: int | None = None, scenario=None,
-               tracer=None) -> ClusterReport:
-        """Generate a stream, serve it fleet-wide, summarise.
-
-        Default arrivals are the stationary Poisson stream; a
-        ``scenario`` (:class:`repro.workloads.ScenarioSpec` or
-        registered name) swaps in any trace-driven shape at mean rate
-        ``qps`` — the fleet twin of ``ServingStack.report``.
-        ``tracer`` records the serve (see :meth:`serve`).
+        Appended once the serve has finished — identical data to inline
+        emission, and the controller itself stays untouched by
+        telemetry.  The ``fleet.signals`` counters follow
+        :data:`repro.telemetry.FLEET_SIGNAL_FIELDS`, making a recorded
+        trace double as an offline training set for learned routers
+        (one sample per control tick, with the ``scale.*`` decisions
+        interleaved by timestamp).
         """
-        queries = scenario_queries(
-            self.stack.compiled, scenario, qps, count,
-            seed=self.stack.seed if seed is None else seed, spec=spec)
-        return self.serve(queries, offered_qps=qps, tracer=tracer)
+        tracer = self.tracer
+        for event in self.timeline:
+            args = {"live_nodes": event.live_nodes}
+            if event.reason:
+                args["reason"] = event.reason
+            tracer.event(f"scale.{event.action}", event.time_s,
+                         cat="autoscale", node=event.node, args=args)
+        if self.scaler is not None:
+            for signal in self.scaler.signals:
+                tracer.counter(
+                    "fleet.signals", signal.time_s,
+                    {field: getattr(signal, field)
+                     for field in FLEET_SIGNAL_FIELDS})

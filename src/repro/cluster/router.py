@@ -150,10 +150,10 @@ class PressureAwareRouter(Router):
         urgency = min(1.0, _REFERENCE_QOS_S / query.qos_s)
 
         def score(node) -> tuple[float, int]:
-            # Parallel width, not "cores": on an accelerator node the
-            # allocation units are SMs, and normalising the backlog by
-            # anything else mis-ranks it against CPU members.
-            width = node.width / _REFERENCE_CORES
+            # ``cores`` counts allocation units — SMs on an accelerator
+            # node — so the backlog is normalised by the node's parallel
+            # width and ranks fairly against CPU members.
+            width = node.cores / _REFERENCE_CORES
             depth = node.engine.outstanding / width
             value = ((1.0 + urgency) * node.pressure_estimate()
                      + _QUEUE_WEIGHT * depth)
@@ -227,7 +227,7 @@ class DeviceAffinityRouter(PressureAwareRouter):
         urgency = min(1.0, _REFERENCE_QOS_S / query.qos_s)
 
         def score(node) -> tuple[float, int]:
-            width = node.width / _REFERENCE_CORES
+            width = node.cores / _REFERENCE_CORES
             depth = node.engine.outstanding / width
             value = ((1.0 + urgency) * self._estimate(node, query)
                      + node.pressure_estimate()

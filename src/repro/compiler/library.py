@@ -25,6 +25,12 @@ from repro.compiler.costmodel import CostModel
 from repro.compiler.multiversion import CompiledLayer, SinglePassCompiler
 from repro.compiler.schedule import Schedule
 
+#: Fraction of the model QoS handed to the layers; the rest absorbs
+#: scheduling overheads (thread spawns, launches, queueing slack).
+QOS_MARGIN = 0.85
+#: Per-layer budget floor, capped at half an even split of the budget.
+MIN_LAYER_BUDGET_S = 40e-6
+
 
 @dataclass(frozen=True)
 class CompiledModel:
@@ -89,9 +95,6 @@ class ModelCompiler:
         Platform-bound latency oracle.
     single_pass:
         Optional pre-configured Alg. 1 driver (trials, versions, levels).
-    qos_margin:
-        Fraction of the model QoS handed to the layers; the rest absorbs
-        scheduling overheads (thread spawns, launches, queueing slack).
     store:
         Optional :class:`~repro.compiler.artifacts.ArtifactStore`; each
         unique (signature, budget) is looked up before compiling and
@@ -103,18 +106,10 @@ class ModelCompiler:
 
     def __init__(self, cost_model: CostModel,
                  single_pass: SinglePassCompiler | None = None,
-                 qos_margin: float = 0.85,
-                 min_layer_budget_s: float = 40e-6,
                  store: ArtifactStore | None = None,
                  workers: int = 1) -> None:
-        if not 0.0 < qos_margin <= 1.0:
-            raise ValueError("qos_margin must be in (0, 1]")
-        if min_layer_budget_s < 0:
-            raise ValueError("min_layer_budget_s must be non-negative")
         self.cost_model = cost_model
         self.single_pass = single_pass or SinglePassCompiler(cost_model)
-        self.qos_margin = qos_margin
-        self.min_layer_budget_s = min_layer_budget_s
         self.store = store
         self.workers = max(1, int(workers))
         self.stats = CompileStats()
@@ -141,9 +136,9 @@ class ModelCompiler:
         layer feasible, with the excess taken proportionally from the
         layers above the floor.
         """
-        total = qos_s * self.qos_margin
+        total = qos_s * QOS_MARGIN
         raw = [total * fraction for fraction in graph.op_fractions()]
-        floor = min(self.min_layer_budget_s, total / (2 * len(raw)))
+        floor = min(MIN_LAYER_BUDGET_S, total / (2 * len(raw)))
         floored = [max(b, floor) for b in raw]
         excess = sum(floored) - total
         if excess > 0:

@@ -68,10 +68,8 @@ class DeviceSpec:
 
     * ``kind`` — registry discriminator (``"cpu"``/``"accelerator"``);
       part of the compiled-artifact content hash for non-CPU kinds.
-    * ``parallel_width`` — number of allocatable execution units.  For
-      historical reasons the unit count is also exposed as ``cores``
-      (the name the whole allocation stack grew up with); the two are
-      always equal.
+    * ``cores`` — number of allocatable execution units: CPU cores,
+      or SMs on an accelerator.
     * clock and per-unit flops (``frequency_hz``, ``flops_per_cycle``,
       ``sustained_fraction`` and the derived ``*_flops*`` properties).
     * hierarchy: a per-unit private cache ``l2``, a shared ``llc``
@@ -85,11 +83,6 @@ class DeviceSpec:
     """
 
     kind = "device"
-
-    @property
-    def parallel_width(self) -> int:
-        """Number of allocatable execution units (cores or SMs)."""
-        return self.cores
 
 
 @dataclass(frozen=True)

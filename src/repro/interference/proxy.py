@@ -21,6 +21,9 @@ from repro.hardware.counters import COUNTER_NAMES, counters_from_execution
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
 
+#: Largest co-location group :func:`collect_aggregate_samples` draws.
+MAX_CORUNNERS = 6
+
 
 @dataclass(frozen=True)
 class ProxySample:
@@ -71,7 +74,6 @@ def collect_samples(cost_model: CostModel,
 def collect_aggregate_samples(cost_model: CostModel,
                               compiled_models: list[CompiledModel],
                               scenarios: int = 300,
-                              max_corunners: int = 6,
                               seed: int | None = None) -> list[ProxySample]:
     """System-level counter windows from randomized co-location sets.
 
@@ -89,7 +91,7 @@ def collect_aggregate_samples(cost_model: CostModel,
 
     samples = []
     for _ in range(scenarios):
-        group = int(rng.integers(1, max_corunners + 1))
+        group = int(rng.integers(1, MAX_CORUNNERS + 1))
         picks = []
         for _ in range(group):
             entry = all_layers[int(rng.integers(0, len(all_layers)))]

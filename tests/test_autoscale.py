@@ -20,6 +20,8 @@ from repro.cluster import (
 )
 from repro.hardware.platform import THREADRIPPER_3990X
 from repro.serving.workload import WorkloadSpec, scenario_queries
+from repro.telemetry import Tracer
+from repro.workloads import ClosedLoopSpec, ScenarioSpec
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
@@ -253,6 +255,30 @@ class TestAutoscaleServe:
         assert report.completed == sum(n.completed for n in report.nodes)
         assert report.satisfied == sum(n.satisfied for n in report.nodes)
         assert report.completed == report.admitted
+
+    def test_ticks_run_through_a_closed_loop(self, light_stack):
+        """A zero-think closed loop offers and routes each follow-up at
+        its completion instant, so no offer is pending at any tick; the
+        controller must keep ticking while requests are in flight."""
+        scenario = ScenarioSpec(
+            name="tick-loop",
+            workload=WorkloadSpec(name="mix21", entries=(
+                ("mobilenet_v2", 2.0), ("googlenet", 1.0))),
+            closed_loop=ClosedLoopSpec(tenants=6, concurrency=2,
+                                       think_s=0.0))
+        stream = scenario.stream(light_stack.compiled, qps=0.0, count=240,
+                                 seed=3)
+        policy = fast_policy()
+        tracer = Tracer(run_id="tick-loop")
+        cluster = Cluster(light_stack, homogeneous(1),
+                          router="pressure_aware", autoscale=policy)
+        report = cluster.serve_stream(stream, tracer=tracer)
+        ticks = [record.ts
+                 for record in tracer.trace().counters("fleet.signals")]
+        last = max(query.finished_s for node in cluster.last_nodes
+                   for query in node.engine.completed)
+        assert ticks and ticks[-1] >= last - policy.tick_s
+        assert report.peak_live_nodes > 1
 
     def test_deterministic_per_seed(self, light_stack):
         policy = fast_policy(min_nodes=1, max_nodes=3)

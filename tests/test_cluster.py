@@ -1,11 +1,17 @@
 """Cluster subsystem tests: specs, routers, admission, fleet driver,
 and the engine's incremental-driving hooks the fleet rides on."""
 
+import gc
+import struct
+import weakref
+import zlib
+
 import pytest
 
 from repro.cluster import (
     ROUTERS,
     AdmissionPolicy,
+    AutoscalePolicy,
     Cluster,
     ClusterSpec,
     NodeSpec,
@@ -23,9 +29,17 @@ from repro.hardware.platform import (
 from repro.runtime.engine import Engine
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.workloads import (
+    ClosedLoopSpec,
+    PipelineSpec,
+    RequestStream,
+    ScenarioSpec,
+)
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
+MIX21 = WorkloadSpec(name="mix21", entries=(("mobilenet_v2", 2.0),
+                                            ("googlenet", 1.0)))
 
 
 class TestClusterSpec:
@@ -69,7 +83,6 @@ class _StubNode:
                  running: int = 0, pressure: float = 0.0) -> None:
         self.index = index
         self.cores = cores
-        self.width = cores
         self.engine = _StubEngine(queued, running)
         self._pressure = pressure
 
@@ -270,6 +283,29 @@ class TestClusterServe:
         with pytest.raises(ValueError):
             Cluster(light_stack, homogeneous(1)).serve([])
 
+    def test_finished_serve_frees_its_engines(self, light_stack):
+        """No reference cycle outlives a serve: once ``last_nodes`` is
+        dropped, its engines are freed without the cyclic collector."""
+        loop = ScenarioSpec(name="free-loop", workload=MIX,
+                            closed_loop=ClosedLoopSpec(tenants=2,
+                                                       concurrency=2))
+        streams = (RequestStream(queries=poisson_queries(
+                       light_stack.compiled, MIX, 300, 40, seed=3)),
+                   loop.stream(light_stack.compiled, qps=0.0, count=20,
+                               seed=3))
+        cluster = Cluster(light_stack, homogeneous(2))
+        for stream in streams:
+            gc.collect()
+            gc.disable()
+            try:
+                cluster.serve_stream(stream)
+                engines = [weakref.ref(node.engine)
+                           for node in cluster.last_nodes]
+                cluster.last_nodes = None
+                assert all(engine() is None for engine in engines)
+            finally:
+                gc.enable()
+
 
 class TestAdmission:
     def test_policy_validation(self):
@@ -440,3 +476,115 @@ class TestClusterExperiments:
         assert result.qps >= 20.0
         assert result.report.satisfaction_rate >= 0.8
         assert result.router == "pressure_aware"
+
+
+#: The autoscale cell's policy: control constants sized to sub-second
+#: streams (the values of ``test_autoscale.fast_policy(max_nodes=3)``,
+#: spelled out so the pin does not move with that helper).
+_GOLDEN_AUTOSCALE = AutoscalePolicy(
+    template=NodeSpec(name="auto", device=THREADRIPPER_3990X),
+    min_nodes=1, max_nodes=3, tick_s=0.02, warmup_s=0.04, cooldown_s=0.08,
+    up_pressure=0.45, down_pressure=0.20,
+    up_backlog_per_core=0.05, down_backlog_per_core=0.015,
+    up_violation_rate=0.10, down_violation_rate=0.02,
+    slo_window_s=0.15, panic_severity=2.0, quiet_ticks=3)
+
+#: Exact outcome of one fleet serve per serve-loop path (light stack,
+#: seed 3): ``(crc32 over (node index, query_id, stage or -1,
+#: finished_s) in per-node completion order, (offered, admitted, shed,
+#: deferrals), scaling timeline as (action, node, time_s,
+#: live_nodes))``.  ``TestGoldenOutcomes`` pins single-node runs; these
+#: pin routing, deferral, shedding, the autoscale lifecycle and fleet
+#: hand-offs, and do not move unless a simulated result does.
+_GOLDEN_FLEET = {
+    "admission": (0x69f8c8d3, (150, 112, 38, 70), ()),
+    "autoscale": (0xa6d72dbb, (300, 300, 0, 0), (
+        ("provision", "auto-1", 0.020229197526412585, 1),
+        ("provision", "auto-2", 0.020229197526412585, 1),
+        ("join", "auto-1", 0.060229197526412585, 2),
+        ("join", "auto-2", 0.060229197526412585, 3),
+        ("drain", "auto-1", 0.22022919752641257, 2),
+        ("retire", "auto-1", 0.22022919752641257, 2),
+        ("drain", "auto-2", 0.38022919752641265, 1),
+        ("retire", "auto-2", 0.38022919752641265, 1),
+        ("provision", "auto-3", 0.4602291975264127, 1),
+        ("join", "auto-3", 0.5002291975264127, 2),
+        ("provision", "auto-4", 0.5802291975264128, 2),
+        ("join", "auto-4", 0.6202291975264128, 3),
+        ("drain", "auto-4", 0.820229197526413, 2),
+        ("retire", "auto-4", 0.820229197526413, 2),
+        ("drain", "auto-3", 0.9602291975264131, 1),
+        ("retire", "auto-3", 0.9602291975264131, 1))),
+    "pipeline": (0x1ccb0282, (144, 88, 56, 0), ()),
+    "closed_loop": (0x11bfec4d, (120, 120, 0, 0), ()),
+}
+
+
+class TestGoldenFleetOutcomes:
+    @staticmethod
+    def _outcome(cluster, report) -> tuple:
+        crc = 0
+        for node in cluster.last_nodes:
+            for query in node.engine.completed:
+                stage = -1 if query.stage is None else query.stage
+                crc = zlib.crc32(struct.pack("<qqqd", node.index,
+                                             query.query_id, stage,
+                                             query.finished_s), crc)
+        return (crc, (report.offered, report.admitted, report.shed,
+                      report.deferrals),
+                tuple((event.action, event.node, event.time_s,
+                       event.live_nodes)
+                      for event in report.scaling_timeline))
+
+    def test_admission(self, light_stack):
+        policy = AdmissionPolicy(mode="defer", max_outstanding_per_core=0.04,
+                                 defer_s=0.005, max_defers=1)
+        cluster = Cluster(light_stack, homogeneous(3),
+                          router="pressure_aware", admission=policy)
+        report = cluster.report(MIX21, qps=1500, count=150, seed=3)
+        assert report.deferrals > 0 and report.shed > 0
+        assert all(node.assigned > 0 for node in report.nodes)
+        assert (self._outcome(cluster, report)
+                == _GOLDEN_FLEET["admission"])
+
+    def test_autoscale(self, light_stack):
+        cluster = Cluster(light_stack, homogeneous(1),
+                          router="pressure_aware",
+                          autoscale=_GOLDEN_AUTOSCALE)
+        report = cluster.report(MIX21, qps=300, count=300, seed=3,
+                                scenario="diurnal")
+        assert {event.action for event in report.scaling_timeline} == {
+            "provision", "join", "drain", "retire"}
+        assert (self._outcome(cluster, report)
+                == _GOLDEN_FLEET["autoscale"])
+
+    def test_pipeline(self, light_stack):
+        scenario = ScenarioSpec(
+            name="golden-chain",
+            pipeline=PipelineSpec(name="mn-gn",
+                                  stages=("mobilenet_v2", "googlenet")))
+        stream = scenario.stream(light_stack.compiled, qps=1000.0,
+                                 count=100, seed=3)
+        cluster = Cluster(
+            light_stack, homogeneous(2), router="round_robin",
+            admission=AdmissionPolicy(max_outstanding_per_core=0.05))
+        report = cluster.serve_stream(stream, offered_qps=1000.0)
+        assert report.pipelines.offered == 100
+        assert 0 < report.pipelines.failed < 100
+        assert (self._outcome(cluster, report)
+                == _GOLDEN_FLEET["pipeline"])
+
+    def test_closed_loop(self, light_stack):
+        scenario = ScenarioSpec(
+            name="golden-loop", workload=MIX21,
+            closed_loop=ClosedLoopSpec(tenants=3, concurrency=2,
+                                       think_s=0.005))
+        stream = scenario.stream(light_stack.compiled, qps=0.0, count=120,
+                                 seed=3)
+        cluster = Cluster(light_stack, homogeneous(2),
+                          router="least_outstanding")
+        report = cluster.serve_stream(stream)
+        assert [s.issued for s in report.sessions] == [40, 40, 40]
+        assert all(node.assigned > 0 for node in report.nodes)
+        assert (self._outcome(cluster, report)
+                == _GOLDEN_FLEET["closed_loop"])

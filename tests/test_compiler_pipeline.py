@@ -12,6 +12,7 @@ from repro.compiler.interference_aware import (
     default_levels,
     multi_pass_search,
 )
+from repro.compiler.library import QOS_MARGIN
 from repro.compiler.multiversion import (
     SinglePassCompiler,
     extract_dominant,
@@ -310,7 +311,7 @@ class TestModelCompiler:
         graph = get_model("resnet50")
         budgets = compiler._layer_budgets(graph, 0.015)
         assert min(budgets) >= 1e-6
-        assert sum(budgets) <= 0.015 * compiler.qos_margin + 1e-9
+        assert sum(budgets) <= 0.015 * QOS_MARGIN + 1e-9
 
     def test_rejects_zero_qos(self, compiler):
         with pytest.raises(ValueError):

@@ -43,15 +43,13 @@ class TestDeviceSpecs:
     def test_cpu_is_a_device(self):
         assert isinstance(THREADRIPPER_3990X, DeviceSpec)
         assert THREADRIPPER_3990X.kind == "cpu"
-        assert (THREADRIPPER_3990X.parallel_width
-                == THREADRIPPER_3990X.cores)
 
     def test_accelerator_interface(self):
         accel = DATACENTER_ACCEL_80
         assert isinstance(accel, DeviceSpec)
         assert not isinstance(accel, CpuSpec)
         assert accel.kind == "accelerator"
-        assert accel.cores == accel.sms == accel.parallel_width == 80
+        assert accel.cores == accel.sms == 80
         assert accel.thread_spawn_s == accel.stream_launch_s
         assert accel.peak_flops > THREADRIPPER_3990X.peak_flops
 
