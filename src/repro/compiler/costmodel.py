@@ -167,17 +167,16 @@ class CostModel:
     """Latency and traffic model bound to one device platform.
 
     ``cpu`` accepts any :class:`DeviceSpec`; the attribute keeps its
-    historical name because every consumer reads ``cost_model.cpu``
-    (``device`` is an alias).  Contention constants are resolved once at
-    construction: the CPU kind reads them from :class:`CostModelParams`
-    (whose field set is frozen into the artifact key schema), the
-    accelerator kind from its own spec fields.
+    historical name because every consumer reads ``cost_model.cpu``.
+    Contention constants are resolved once at construction: the CPU
+    kind reads them from :class:`CostModelParams` (whose field set is
+    frozen into the artifact key schema), the accelerator kind from its
+    own spec fields.
     """
 
     def __init__(self, cpu: CpuSpec | DeviceSpec,
                  params: CostModelParams | None = None) -> None:
         self.cpu = cpu
-        self.device = cpu
         self.kind = getattr(cpu, "kind", "cpu")
         self.params = params or CostModelParams()
         self._memo: dict[tuple, CostBreakdown] = {}
@@ -211,7 +210,7 @@ class CostModel:
         Every per-layer launch charge goes through here.
         """
         if self._accel:
-            return self.device.kernel_launch_s
+            return self.cpu.kernel_launch_s
         return self.params.layer_launch_s
 
     # ------------------------------------------------------------------
@@ -224,7 +223,7 @@ class CostModel:
         # On the accelerator the lane count is the warp width: all
         # ``simt_lanes`` lanes execute in lockstep, so skinny extents
         # waste lanes regardless of the schedule's CPU vector width.
-        lanes = (self.device.simt_lanes if self._accel
+        lanes = (self.cpu.simt_lanes if self._accel
                  else schedule.vector_lanes)
         # Vectorize along N when it is wide enough, else along M
         # (element-wise and depthwise layers have N == 1).
@@ -286,8 +285,8 @@ class CostModel:
             # hide latency, so kernels exposing few parallel chunks per
             # SM run well below peak — the batch-friendly throughput
             # curve that makes skinny low-batch layers a poor fit.
-            occ = min(1.0, chunks / (cores_used * self.device.occupancy_ramp))
-            floor = self.device.min_occupancy_rate
+            occ = min(1.0, chunks / (cores_used * self.cpu.occupancy_ramp))
+            floor = self.cpu.min_occupancy_rate
             compute_s /= floor + (1.0 - floor) * occ
 
         compulsory = float(layer.data_bytes)
@@ -406,7 +405,7 @@ class CostModel:
         thread, but grows slower with the grant width.
         """
         if self._accel:
-            return self.device.stream_launch_s + 1.0e-6 * max(0, cores)
+            return self.cpu.stream_launch_s + 1.0e-6 * max(0, cores)
         return 15e-6 + 1.2e-6 * max(0, cores)
 
     def expand_overhead(self, extra_cores: int) -> float:

@@ -23,7 +23,6 @@ from repro.compiler.artifacts import (
 )
 from repro.compiler.costmodel import CostModel
 from repro.compiler.multiversion import CompiledLayer, SinglePassCompiler
-from repro.compiler.schedule import Schedule
 
 #: Fraction of the model QoS handed to the layers; the rest absorbs
 #: scheduling overheads (thread spawns, launches, queueing slack).
@@ -52,14 +51,6 @@ class CompiledModel:
 
     def __len__(self) -> int:
         return len(self.layers)
-
-    def version_for(self, layer_index: int, interference: float) -> Schedule:
-        """Adaptive selection: the version matching a pressure level."""
-        return self.layers[layer_index].version_for(interference)
-
-    def static_version(self, layer_index: int) -> Schedule:
-        """The isolation-optimal version (static-compilation baselines)."""
-        return self.layers[layer_index].static_version()
 
     @property
     def version_counts(self) -> list[int]:

@@ -6,10 +6,10 @@ from repro.models.layers import (
     Dense,
     DepthwiseConv2D,
     Elementwise,
-    FusedLayer,
     GemmShape,
     LayerSpec,
     Pool,
+    fused,
 )
 from repro.models.registry import (
     HEAVY,
@@ -23,8 +23,8 @@ from repro.models.registry import (
 )
 
 __all__ = [
-    "Conv2D", "Dense", "DepthwiseConv2D", "Elementwise", "FusedLayer",
-    "GemmShape", "LayerSpec", "Pool", "ModelGraph", "chain",
+    "Conv2D", "Dense", "DepthwiseConv2D", "Elementwise", "GemmShape",
+    "LayerSpec", "Pool", "fused", "ModelGraph", "chain",
     "ModelEntry", "get_entry", "get_model", "model_names",
     "models_by_class", "LIGHT", "MEDIUM", "HEAVY",
 ]

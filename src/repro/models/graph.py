@@ -2,42 +2,28 @@
 
 The paper schedules DNNs as *sequences* of layers (blocks are contiguous
 runs in execution order), so :class:`ModelGraph` stores layers in a fixed
-topological order.  Optional DAG edges are retained for models with branches
-(GoogLeNet inception modules, SSD heads); branch layers are executed in the
-linearised order, which matches the paper's treatment.
+topological order.  Models with branches (GoogLeNet inception modules, SSD
+heads) list their branch layers in the linearised order they execute in,
+which matches the paper's treatment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.models.layers import FUSABLE_KINDS, FusedLayer, LayerSpec
+from repro.models.layers import FUSABLE_KINDS, LayerSpec, fused
 
 
 @dataclass(frozen=True)
 class ModelGraph:
-    """An inference model: a name plus its layers in execution order.
-
-    ``edges`` holds (producer_index, consumer_index) pairs; when empty, a
-    pure chain is implied.  Layer indices always refer to positions in
-    :attr:`layers`.
-    """
+    """An inference model: a name plus its layers in execution order."""
 
     name: str
     layers: tuple[LayerSpec, ...]
-    edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError(f"model {self.name!r} has no layers")
-        n = len(self.layers)
-        for src, dst in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src}, {dst}) out of range for "
-                                 f"{n}-layer model {self.name!r}")
-            if src >= dst:
-                raise ValueError(
-                    f"edge ({src}, {dst}) violates topological order")
 
     # -- aggregate quantities ------------------------------------------------
 
@@ -71,43 +57,16 @@ class ModelGraph:
         """Fuse element-wise epilogues into the preceding compute layer.
 
         Mirrors the operator-fusion patterns the paper enables in the
-        auto-scheduler (conv-relu, conv-batchnorm-relu).  Only chains are
-        fused: an element-wise layer that is a branch target (has an edge
-        from anywhere but its direct predecessor) is kept standalone so the
-        DAG structure survives.
+        auto-scheduler (conv-relu, conv-batchnorm-relu).
         """
-        branch_targets = {dst for src, dst in self.edges if dst != src + 1}
-        fused: list[LayerSpec] = []
-        pending: list[LayerSpec] = []
-        anchor: LayerSpec | None = None
-
-        def flush() -> None:
-            nonlocal anchor, pending
-            if anchor is not None:
-                if pending:
-                    fused.append(FusedLayer(
-                        name=anchor.name,
-                        anchor=anchor,
-                        epilogues=tuple(pending),
-                    ))
-                else:
-                    fused.append(anchor)
-            anchor, pending = None, []
-
-        for idx, layer in enumerate(self.layers):
-            fusable_here = (layer.kind in FUSABLE_KINDS
-                            and anchor is not None
-                            and idx not in branch_targets)
-            if fusable_here:
-                pending.append(layer)
+        out: list[LayerSpec] = []
+        for layer in self.layers:
+            if (layer.kind in FUSABLE_KINDS and out
+                    and out[-1].kind not in FUSABLE_KINDS):
+                out[-1] = fused(out[-1], (layer,))
             else:
-                flush()
-                if layer.kind in FUSABLE_KINDS:
-                    fused.append(layer)  # orphan elementwise stays standalone
-                else:
-                    anchor = layer
-        flush()
-        return ModelGraph(name=self.name, layers=tuple(fused))
+                out.append(layer)  # a compute layer or an orphan elementwise
+        return ModelGraph(name=self.name, layers=tuple(out))
 
 
 def chain(name: str, layers: list[LayerSpec]) -> ModelGraph:

@@ -10,6 +10,11 @@ which the schedule space (tiling, parallel chunking) operates on:
 * ``Dense``    -> the GEMM itself
 * ``Pool`` / ``Elementwise`` -> memory-bound pseudo-GEMMs (tiny K)
 
+Each kind is a constructor that validates its parameters and computes the
+record's shape, flops and byte counts once; the record is a plain value
+from then on, so reading a field never re-derives it.  :func:`batched`
+and :func:`fused` derive new records from existing ones the same way.
+
 Flop counts use the multiply-accumulate = 2 flops convention, matching how
 MLPerf and the paper quote model complexity (ResNet-50 ~8.2 GFLOPs).
 """
@@ -17,7 +22,7 @@ MLPerf and the paper quote model complexity (ResNet-50 ~8.2 GFLOPs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.config import FP32_BYTES
 
@@ -41,38 +46,23 @@ class GemmShape:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Base class for all layer specifications.
+    """One layer as the compiler, cost model and runtime see it.
 
-    Subclasses must populate :attr:`gemm` and the I/O byte counts; the rest
-    of the library only consumes the base interface, so adding a new layer
-    kind never touches the compiler or the schedulers.
+    ``kind`` names the constructor that built the record (``"Conv2D"``,
+    ``"Elementwise"``, ...); ``flops`` is one inference's floating-point
+    operations and the byte counts are its compulsory traffic.  The rest
+    of the library only reads these fields, so adding a new layer kind
+    is one more constructor and never touches the compiler or the
+    schedulers.
     """
 
     name: str
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
-
-    # -- interface ---------------------------------------------------------
-
-    @property
-    def gemm(self) -> GemmShape:
-        raise NotImplementedError
-
-    @property
-    def input_bytes(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def output_bytes(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def weight_bytes(self) -> int:
-        return 0
-
-    # -- derived quantities --------------------------------------------------
+    kind: str
+    gemm: GemmShape
+    flops: int
+    input_bytes: int
+    output_bytes: int
+    weight_bytes: int = 0
 
     @property
     def signature(self) -> tuple:
@@ -85,11 +75,6 @@ class LayerSpec:
         g = self.gemm
         return (self.kind, g.m, g.n, g.k, self.flops,
                 self.input_bytes, self.weight_bytes, self.output_bytes)
-
-    @property
-    def flops(self) -> int:
-        """Total floating-point operations for one inference of this layer."""
-        return self.gemm.flops
 
     @property
     def data_bytes(self) -> int:
@@ -106,203 +91,97 @@ class LayerSpec:
         return f"{self.kind}({self.name}, M={g.m}, N={g.n}, K={g.k})"
 
 
-@dataclass(frozen=True)
-class Conv2D(LayerSpec):
-    """Standard 2-D convolution (NCHW, unit batch as in MLPerf server runs)."""
-
-    height: int
-    width: int
-    in_channels: int
-    out_channels: int
-    kernel_h: int = 3
-    kernel_w: int = 3
-    stride: int = 1
-    padding: int | None = None  # None = "same"-style (preserves size / stride)
-
-    def __post_init__(self) -> None:
-        if min(self.height, self.width, self.in_channels, self.out_channels,
-               self.kernel_h, self.kernel_w, self.stride) <= 0:
-            raise ValueError(f"conv dimensions must be positive: {self.name}")
-
-    @property
-    def out_height(self) -> int:
-        return max(1, math.ceil(self.height / self.stride))
-
-    @property
-    def out_width(self) -> int:
-        return max(1, math.ceil(self.width / self.stride))
-
-    @property
-    def gemm(self) -> GemmShape:
-        return GemmShape(
-            m=self.out_height * self.out_width,
-            n=self.out_channels,
-            k=self.in_channels * self.kernel_h * self.kernel_w,
-        )
-
-    @property
-    def input_bytes(self) -> int:
-        return self.height * self.width * self.in_channels * FP32_BYTES
-
-    @property
-    def output_bytes(self) -> int:
-        return self.out_height * self.out_width * self.out_channels * FP32_BYTES
-
-    @property
-    def weight_bytes(self) -> int:
-        return (self.kernel_h * self.kernel_w * self.in_channels
-                * self.out_channels * FP32_BYTES)
+def _out_size(size: int, stride: int) -> int:
+    """Output extent of a "same"-style window (preserves size / stride)."""
+    return max(1, math.ceil(size / stride))
 
 
-@dataclass(frozen=True)
-class DepthwiseConv2D(LayerSpec):
-    """Depthwise convolution (MobileNet / EfficientNet building block)."""
-
-    height: int
-    width: int
-    channels: int
-    kernel_h: int = 3
-    kernel_w: int = 3
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        if min(self.height, self.width, self.channels,
-               self.kernel_h, self.kernel_w, self.stride) <= 0:
-            raise ValueError(f"dwconv dimensions must be positive: {self.name}")
-
-    @property
-    def out_height(self) -> int:
-        return max(1, math.ceil(self.height / self.stride))
-
-    @property
-    def out_width(self) -> int:
-        return max(1, math.ceil(self.width / self.stride))
-
-    @property
-    def gemm(self) -> GemmShape:
-        # One tiny GEMM per channel; fold channels into M so the schedule
-        # space sees the real amount of parallel work but a small K (which is
-        # what makes depthwise layers memory-bound in practice).
-        return GemmShape(
-            m=self.out_height * self.out_width * self.channels,
-            n=1,
-            k=self.kernel_h * self.kernel_w,
-        )
-
-    @property
-    def input_bytes(self) -> int:
-        return self.height * self.width * self.channels * FP32_BYTES
-
-    @property
-    def output_bytes(self) -> int:
-        return self.out_height * self.out_width * self.channels * FP32_BYTES
-
-    @property
-    def weight_bytes(self) -> int:
-        return self.kernel_h * self.kernel_w * self.channels * FP32_BYTES
+def _window(kind: str, name: str, height: int, width: int, channels: int,
+            k: int, stride: int, weight_bytes: int = 0) -> LayerSpec:
+    """A per-channel windowed layer: channels fold into ``M``, ``N == 1``."""
+    out = _out_size(height, stride) * _out_size(width, stride) * channels
+    gemm = GemmShape(m=out, n=1, k=k)
+    return LayerSpec(name, kind, gemm, gemm.flops,
+                     input_bytes=height * width * channels * FP32_BYTES,
+                     output_bytes=out * FP32_BYTES,
+                     weight_bytes=weight_bytes)
 
 
-@dataclass(frozen=True)
-class Dense(LayerSpec):
+def Conv2D(name: str, height: int, width: int, in_channels: int,
+           out_channels: int, kernel_h: int = 3, kernel_w: int = 3,
+           stride: int = 1) -> LayerSpec:
+    """Standard 2-D convolution (NCHW, unit batch as in MLPerf server runs).
+
+    The output is "same"-style: each spatial extent becomes
+    ``ceil(size / stride)``.
+    """
+    if min(height, width, in_channels, out_channels,
+           kernel_h, kernel_w, stride) <= 0:
+        raise ValueError(f"conv dimensions must be positive: {name}")
+    out = _out_size(height, stride) * _out_size(width, stride)
+    gemm = GemmShape(m=out, n=out_channels,
+                     k=in_channels * kernel_h * kernel_w)
+    return LayerSpec(
+        name, "Conv2D", gemm, gemm.flops,
+        input_bytes=height * width * in_channels * FP32_BYTES,
+        output_bytes=out * out_channels * FP32_BYTES,
+        weight_bytes=(kernel_h * kernel_w * in_channels * out_channels
+                      * FP32_BYTES))
+
+
+def DepthwiseConv2D(name: str, height: int, width: int, channels: int,
+                    kernel_h: int = 3, kernel_w: int = 3,
+                    stride: int = 1) -> LayerSpec:
+    """Depthwise convolution (MobileNet / EfficientNet building block).
+
+    One tiny GEMM per channel; channels fold into M so the schedule space
+    sees the real amount of parallel work but a small K (which is what
+    makes depthwise layers memory-bound in practice).
+    """
+    if min(height, width, channels, kernel_h, kernel_w, stride) <= 0:
+        raise ValueError(f"dwconv dimensions must be positive: {name}")
+    return _window("DepthwiseConv2D", name, height, width, channels,
+                   kernel_h * kernel_w, stride,
+                   weight_bytes=kernel_h * kernel_w * channels * FP32_BYTES)
+
+
+def Dense(name: str, m: int, n: int, k: int) -> LayerSpec:
     """Fully-connected layer / plain GEMM (classifier heads, transformers)."""
-
-    m: int
-    n: int
-    k: int
-
-    @property
-    def gemm(self) -> GemmShape:
-        return GemmShape(self.m, self.n, self.k)
-
-    @property
-    def input_bytes(self) -> int:
-        return self.m * self.k * FP32_BYTES
-
-    @property
-    def output_bytes(self) -> int:
-        return self.m * self.n * FP32_BYTES
-
-    @property
-    def weight_bytes(self) -> int:
-        return self.k * self.n * FP32_BYTES
+    gemm = GemmShape(m, n, k)
+    return LayerSpec(name, "Dense", gemm, gemm.flops,
+                     input_bytes=m * k * FP32_BYTES,
+                     output_bytes=m * n * FP32_BYTES,
+                     weight_bytes=k * n * FP32_BYTES)
 
 
-@dataclass(frozen=True)
-class Pool(LayerSpec):
+def Pool(name: str, height: int, width: int, channels: int,
+         kernel: int = 2, stride: int = 2) -> LayerSpec:
     """Max/average pooling; memory-bound, negligible weights."""
-
-    height: int
-    width: int
-    channels: int
-    kernel: int = 2
-    stride: int = 2
-
-    def __post_init__(self) -> None:
-        if min(self.height, self.width, self.channels,
-               self.kernel, self.stride) <= 0:
-            raise ValueError(f"pool dimensions must be positive: {self.name}")
-
-    @property
-    def out_height(self) -> int:
-        return max(1, math.ceil(self.height / self.stride))
-
-    @property
-    def out_width(self) -> int:
-        return max(1, math.ceil(self.width / self.stride))
-
-    @property
-    def gemm(self) -> GemmShape:
-        return GemmShape(
-            m=self.out_height * self.out_width * self.channels,
-            n=1,
-            k=self.kernel * self.kernel,
-        )
-
-    @property
-    def input_bytes(self) -> int:
-        return self.height * self.width * self.channels * FP32_BYTES
-
-    @property
-    def output_bytes(self) -> int:
-        return self.out_height * self.out_width * self.channels * FP32_BYTES
+    if min(height, width, channels, kernel, stride) <= 0:
+        raise ValueError(f"pool dimensions must be positive: {name}")
+    return _window("Pool", name, height, width, channels,
+                   kernel * kernel, stride)
 
 
-@dataclass(frozen=True)
-class Elementwise(LayerSpec):
+def Elementwise(name: str, elements: int, ops_per_element: int = 1,
+                reads_second_input: bool = False) -> LayerSpec:
     """Pointwise op over a tensor (ReLU, batch-norm inference, residual add,
-    softmax row pass...).  ``ops_per_element`` scales the flop estimate."""
-
-    elements: int
-    ops_per_element: int = 1
-    reads_second_input: bool = False  # residual adds read two tensors
-
-    def __post_init__(self) -> None:
-        if self.elements <= 0:
-            raise ValueError(f"elementwise size must be positive: {self.name}")
-        if self.ops_per_element <= 0:
-            raise ValueError(f"ops_per_element must be positive: {self.name}")
-
-    @property
-    def gemm(self) -> GemmShape:
-        return GemmShape(m=self.elements, n=1, k=self.ops_per_element)
-
-    @property
-    def flops(self) -> int:
-        return self.elements * self.ops_per_element
-
-    @property
-    def input_bytes(self) -> int:
-        factor = 2 if self.reads_second_input else 1
-        return factor * self.elements * FP32_BYTES
-
-    @property
-    def output_bytes(self) -> int:
-        return self.elements * FP32_BYTES
+    softmax row pass...).  ``ops_per_element`` scales the flop estimate;
+    residual adds set ``reads_second_input`` (they read two tensors)."""
+    if elements <= 0:
+        raise ValueError(f"elementwise size must be positive: {name}")
+    if ops_per_element <= 0:
+        raise ValueError(f"ops_per_element must be positive: {name}")
+    factor = 2 if reads_second_input else 1
+    return LayerSpec(name, "Elementwise",
+                     GemmShape(m=elements, n=1, k=ops_per_element),
+                     elements * ops_per_element,
+                     input_bytes=factor * elements * FP32_BYTES,
+                     output_bytes=elements * FP32_BYTES)
 
 
-@dataclass(frozen=True)
-class BatchedLayer(LayerSpec):
-    """``batch`` independent instances of ``base`` as one fused kernel.
+def batched(layer: LayerSpec, batch: int) -> LayerSpec:
+    """``layer`` at dynamic batch ``batch`` (identity for batch 1).
 
     The zoo is unit-batch (MLPerf server runs); when the runtime fuses a
     dynamic batch of same-model queries into one block stream, each
@@ -313,48 +192,14 @@ class BatchedLayer(LayerSpec):
     :class:`~repro.compiler.schedule.Schedule` versions stay valid
     (tiles clip to the larger GEMM), so batching never recompiles.
     """
-
-    base: LayerSpec
-    batch: int
-
-    def __post_init__(self) -> None:
-        if self.batch < 2:
-            raise ValueError(f"batch must be >= 2, got {self.batch}")
-        if isinstance(self.base, BatchedLayer):
-            raise ValueError("cannot batch an already-batched layer")
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
-
-    @property
-    def gemm(self) -> GemmShape:
-        g = self.base.gemm
-        return GemmShape(m=g.m * self.batch, n=g.n, k=g.k)
-
-    @property
-    def flops(self) -> int:
-        return self.base.flops * self.batch
-
-    @property
-    def input_bytes(self) -> int:
-        return self.base.input_bytes * self.batch
-
-    @property
-    def output_bytes(self) -> int:
-        return self.base.output_bytes * self.batch
-
-    @property
-    def weight_bytes(self) -> int:
-        return self.base.weight_bytes
-
-
-def batched(layer: LayerSpec, batch: int) -> LayerSpec:
-    """``layer`` at dynamic batch ``batch`` (identity for batch 1)."""
     if batch <= 1:
         return layer
-    return BatchedLayer(name=f"{layer.name}x{batch}", base=layer,
-                        batch=batch)
+    g = layer.gemm
+    return replace(layer, name=f"{layer.name}x{batch}",
+                   gemm=GemmShape(m=g.m * batch, n=g.n, k=g.k),
+                   flops=layer.flops * batch,
+                   input_bytes=layer.input_bytes * batch,
+                   output_bytes=layer.output_bytes * batch)
 
 
 #: Layer kinds that a preceding compute layer can absorb (epilogue fusion);
@@ -362,49 +207,22 @@ def batched(layer: LayerSpec, batch: int) -> LayerSpec:
 FUSABLE_KINDS = ("Elementwise",)
 
 
-@dataclass(frozen=True)
-class FusedLayer(LayerSpec):
+def fused(anchor: LayerSpec, epilogues: tuple[LayerSpec, ...]) -> LayerSpec:
     """A compute layer with fused element-wise epilogues.
 
-    The fused unit keeps the anchor's GEMM shape (the epilogue does not
-    change the loop nest) while adding the epilogue flops and dropping the
-    intermediate tensor traffic — which is exactly why compilers fuse.
+    The fused unit keeps the anchor's name, kind, GEMM shape and weights
+    (the epilogue does not change the loop nest) while adding the
+    epilogue flops, the extra tensors the epilogues read (a residual
+    add's second input) and dropping the intermediate tensor traffic —
+    which is exactly why compilers fuse.
     """
-
-    anchor: LayerSpec
-    epilogues: tuple[LayerSpec, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        for ep in self.epilogues:
-            if ep.kind not in FUSABLE_KINDS:
-                raise ValueError(
-                    f"cannot fuse {ep.kind} into {self.anchor.kind}")
-
-    @property
-    def kind(self) -> str:
-        return self.anchor.kind
-
-    @property
-    def gemm(self) -> GemmShape:
-        return self.anchor.gemm
-
-    @property
-    def flops(self) -> int:
-        return self.anchor.flops + sum(ep.flops for ep in self.epilogues)
-
-    @property
-    def input_bytes(self) -> int:
-        extra = sum(ep.input_bytes - ep.elements * FP32_BYTES
-                    for ep in self.epilogues
-                    if isinstance(ep, Elementwise) and ep.reads_second_input)
-        return self.anchor.input_bytes + extra
-
-    @property
-    def output_bytes(self) -> int:
-        if self.epilogues:
-            return self.epilogues[-1].output_bytes
-        return self.anchor.output_bytes
-
-    @property
-    def weight_bytes(self) -> int:
-        return self.anchor.weight_bytes
+    for ep in epilogues:
+        if ep.kind not in FUSABLE_KINDS:
+            raise ValueError(f"cannot fuse {ep.kind} into {anchor.kind}")
+    return replace(
+        anchor,
+        flops=anchor.flops + sum(ep.flops for ep in epilogues),
+        input_bytes=anchor.input_bytes + sum(
+            ep.input_bytes - ep.output_bytes for ep in epilogues),
+        output_bytes=(epilogues[-1].output_bytes if epilogues
+                      else anchor.output_bytes))

@@ -89,22 +89,14 @@ def get_entry(name: str) -> ModelEntry:
 
 
 @lru_cache(maxsize=None)
-def get_model(name: str, fused: bool = True) -> ModelGraph:
-    """Build (and cache) a model graph.
+def get_model(name: str) -> ModelGraph:
+    """Build (and cache) a model's fused graph by canonical name or alias.
 
-    Parameters
-    ----------
-    name:
-        Canonical name or alias (see :func:`model_names`).
-    fused:
-        When true (default), element-wise epilogues are folded into their
-        compute layers — the compiler's view of the model.
+    Element-wise epilogues are folded into their compute layers — the
+    compiler's view of the model.  The unfused graph is
+    ``get_entry(name).builder()``.
     """
-    entry = get_entry(name)
-    graph = entry.builder()
-    if fused:
-        graph = graph.fuse_elementwise()
-    return graph
+    return get_entry(name).builder().fuse_elementwise()
 
 
 def models_by_class(workload_class: str) -> list[ModelEntry]:

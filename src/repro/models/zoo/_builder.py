@@ -23,13 +23,13 @@ class LayerBuilder:
 
     def conv(self, name: str, size: int, c_in: int, c_out: int,
              kernel: int = 3, stride: int = 1, relu: bool = True,
-             batch_norm: bool = True, width: int | None = None) -> Conv2D:
+             batch_norm: bool = True, width: int | None = None) -> LayerSpec:
         """Conv2D followed by optional batch-norm and ReLU epilogues."""
         conv = Conv2D(name=name, height=size, width=width or size,
                       in_channels=c_in, out_channels=c_out,
                       kernel_h=kernel, kernel_w=kernel, stride=stride)
         self.add(conv)
-        out_elems = conv.out_height * conv.out_width * conv.out_channels
+        out_elems = conv.gemm.m * conv.gemm.n  # H_out * W_out * C_out
         if batch_norm:
             self.add(Elementwise(name=f"{name}.bn", elements=out_elems,
                                  ops_per_element=2))
@@ -39,13 +39,13 @@ class LayerBuilder:
 
     def dwconv(self, name: str, size: int, channels: int, kernel: int = 3,
                stride: int = 1, relu: bool = True,
-               batch_norm: bool = True) -> DepthwiseConv2D:
+               batch_norm: bool = True) -> LayerSpec:
         """Depthwise conv followed by optional batch-norm and ReLU."""
         conv = DepthwiseConv2D(name=name, height=size, width=size,
                                channels=channels, kernel_h=kernel,
                                kernel_w=kernel, stride=stride)
         self.add(conv)
-        out_elems = conv.out_height * conv.out_width * conv.channels
+        out_elems = conv.gemm.m  # H_out * W_out * channels
         if batch_norm:
             self.add(Elementwise(name=f"{name}.bn", elements=out_elems,
                                  ops_per_element=2))

@@ -72,7 +72,7 @@ class NodeRuntime:
     magnitudes do not port across specs).  Nodes with the same
     :class:`DeviceSpec` share one runtime, so a homogeneous fleet shares
     a single warm pricing cache.  The field keeps its historical ``cpu``
-    name; ``device`` is the kind-neutral alias.
+    name.
     """
 
     cpu: CpuSpec | DeviceSpec
@@ -88,10 +88,6 @@ class NodeRuntime:
     @cached_property
     def proxy(self) -> LinearInterferenceProxy | None:
         return self.fit_proxy()
-
-    @property
-    def device(self) -> CpuSpec | DeviceSpec:
-        return self.cpu
 
     @property
     def device_kind(self) -> str:

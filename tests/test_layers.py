@@ -8,9 +8,9 @@ from repro.models.layers import (
     Dense,
     DepthwiseConv2D,
     Elementwise,
-    FusedLayer,
     GemmShape,
     Pool,
+    fused,
 )
 
 
@@ -37,8 +37,8 @@ class TestConv2D:
     def test_strided_output_size(self):
         conv = Conv2D(name="c", height=224, width=224, in_channels=3,
                       out_channels=64, kernel_h=7, kernel_w=7, stride=2)
-        assert conv.out_height == 112
-        assert conv.out_width == 112
+        assert conv.gemm.m == 112 * 112
+        assert conv.output_bytes == 112 * 112 * 64 * FP32_BYTES
 
     def test_byte_counts(self):
         conv = Conv2D(name="c", height=8, width=8, in_channels=4,
@@ -79,7 +79,7 @@ class TestPool:
     def test_output_shrinks_by_stride(self):
         pool = Pool(name="p", height=112, width=112, channels=64,
                     kernel=3, stride=2)
-        assert pool.out_height == 56
+        assert pool.gemm.m == 56 * 56 * 64
         assert pool.weight_bytes == 0
 
 
@@ -102,29 +102,28 @@ class TestFusedLayer:
         conv = Conv2D(name="c", height=8, width=8, in_channels=4,
                       out_channels=8, kernel_h=1, kernel_w=1)
         relu = Elementwise(name="c.relu", elements=8 * 8 * 8)
-        return conv, relu, FusedLayer(name="c", anchor=conv,
-                                      epilogues=(relu,))
+        return conv, relu, fused(conv, (relu,))
 
     def test_keeps_anchor_gemm(self):
-        conv, _, fused = self._fused()
-        assert fused.gemm == conv.gemm
-        assert fused.kind == "Conv2D"
+        conv, _, layer = self._fused()
+        assert layer.gemm == conv.gemm
+        assert layer.kind == "Conv2D"
 
     def test_adds_epilogue_flops(self):
-        conv, relu, fused = self._fused()
-        assert fused.flops == conv.flops + relu.flops
+        conv, relu, layer = self._fused()
+        assert layer.flops == conv.flops + relu.flops
 
     def test_rejects_non_elementwise_epilogue(self):
         conv, _, _ = self._fused()
         with pytest.raises(ValueError):
-            FusedLayer(name="x", anchor=conv, epilogues=(conv,))
+            fused(conv, (conv,))
 
     def test_residual_epilogue_adds_second_input(self):
-        conv, _, plain = self._fused()
+        conv, _, _ = self._fused()
         add = Elementwise(name="c.add", elements=8 * 8 * 8,
                           reads_second_input=True)
-        fused = FusedLayer(name="c", anchor=conv, epilogues=(add,))
-        assert fused.input_bytes == conv.input_bytes + 8 * 8 * 8 * FP32_BYTES
+        layer = fused(conv, (add,))
+        assert layer.input_bytes == conv.input_bytes + 8 * 8 * 8 * FP32_BYTES
 
 
 class TestSignature:
