@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.models.layers import LayerSpec
 from repro.compiler.autoscheduler import AutoScheduler, Measured
@@ -123,48 +121,12 @@ class CompiledLayer:
     def version_count(self) -> int:
         return len(self.versions)
 
-    @cached_property
-    def _level_thresholds(self) -> tuple[float, ...]:
-        """Exact selection boundaries between adjacent levels.
-
-        ``thresholds[i]`` is the smallest float whose nearest level
-        (with the scan's tie-break: equal distances resolve to the
-        lower index) is ``i + 1``.  The arithmetic midpoint is only a
-        starting guess — float rounding makes the two distances
-        asymmetric within an ulp or two of it — so the boundary is
-        pinned down by an ulp walk, keeping the bisect bit-identical
-        to the scan it replaces.
-        """
-        thresholds = []
-        for i in range(len(self.levels) - 1):
-            low, high = self.levels[i], self.levels[i + 1]
-
-            def picks_upper(x: float) -> bool:
-                return abs(high - x) < abs(low - x)
-
-            boundary = (low + high) / 2.0
-            if picks_upper(boundary):
-                while True:
-                    prev = math.nextafter(boundary, low)
-                    if prev <= low or not picks_upper(prev):
-                        break
-                    boundary = prev
-            else:
-                while boundary < high and not picks_upper(boundary):
-                    boundary = math.nextafter(boundary, high)
-            thresholds.append(boundary)
-        return tuple(thresholds)
-
     def level_index(self, interference: float) -> int:
-        """Nearest calibration level for a pressure value.
-
-        This sits on the engine's pricing-miss hot path (every block
-        price consults it per layer), so the O(levels) nearest scan is
-        replaced by a bisect over precomputed thresholds; the
-        thresholds reproduce the scan's selection exactly, float
-        tie-breaks included.
-        """
-        return bisect_right(self._level_thresholds, interference)
+        """Nearest calibration level for a pressure value (equal
+        distances resolve to the lower level)."""
+        levels = self.levels
+        return min(range(len(levels)),
+                   key=lambda i: abs(levels[i] - interference))
 
     def version_index_for(self, interference: float) -> int:
         return self.version_for_level[self.level_index(interference)]

@@ -32,7 +32,9 @@ class PricingCache:
 
     Values must not be ``None`` (a ``None`` return from :meth:`get`
     signals a miss).  The engine stores pricing tuples and pressure
-    contributions; anything hashable works as a key.
+    contributions, and each :class:`~repro.scheduling.base.ModelProfile`
+    its plan memo's rows, batched profiles and block demands; anything
+    hashable works as a key.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions",

@@ -3,17 +3,23 @@
 Every policy consumes a :class:`ModelProfile` — the offline-profiled facts
 the paper's schedulers rely on: per-layer latency budgets, per-layer
 minimal core requirements (under the static code version), and the
-model-granularity average core count ``Avg_C`` used by Alg. 2/3.
+model-granularity average core count ``Avg_C`` used by Alg. 2/3.  The
+profile is also the device's plan table for its model: each layer's code
+version and core demand per pressure level, and block demands, built on
+first use into one bounded memo and read by every run, node and policy
+that shares the profile (paper Sec. 4.1–4.3: versions and demands come
+from tables profiled offline).
 
 :class:`SpatialScheduler` implements the shared dispatch mechanics (FCFS
 over continuing-then-new queries, conflict accounting, grow-on-free); the
 concrete policies only decide the next block boundary, its core demand,
 and the code versions — which is exactly the design split of paper Fig. 8.
+Schedulers hold no caches: what they size, they read from the profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.costmodel import CostModel, core_grid, first_fit_cores
 from repro.compiler.library import CompiledModel
@@ -23,7 +29,7 @@ from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, block_duration
 
-#: Bound of each scheduler's plan memo.  Entries are deterministic
+#: Bound of each profile's plan memo.  Entries are deterministic
 #: functions of their keys, so eviction only costs a recompute and never
 #: changes a result.
 PLAN_MEMO_ENTRIES = 1 << 16
@@ -31,9 +37,19 @@ PLAN_MEMO_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class ModelProfile:
-    """Offline profile of one compiled model (static-version view)."""
+    """Offline profile of one compiled model on one device at one batch.
+
+    The fields are the static-version view :func:`build_profile` fills
+    in.  The methods are the plan table: per-pressure version and demand
+    rows, other batches' profiles and block demands, each built on first
+    use into :attr:`plan_memo`.  Every key is complete for this profile
+    (the compiled model, cost model and batch are fixed), so one table
+    serves every scheduler that reads the profile.
+    """
 
     compiled: CompiledModel
+    cost_model: CostModel
+    batch: int
     static_versions: tuple[Schedule, ...]
     layer_budgets_s: tuple[float, ...]
     #: Minimal cores for each layer to meet its budget, in isolation.
@@ -46,6 +62,57 @@ class ModelProfile:
     #: core grants — the per-device cost prior the affinity router seeds
     #: its placement estimates with before observations arrive.
     isolated_service_s: float = 0.0
+    #: The plan table's memo, bounded by :data:`PLAN_MEMO_ENTRIES`.
+    plan_memo: PricingCache = field(
+        init=False, repr=False, compare=False,
+        default_factory=lambda: PricingCache(max_entries=PLAN_MEMO_ENTRIES))
+
+    def at_batch(self, batch: int) -> ModelProfile:
+        """This model's profile at ``batch`` (``self`` at its own)."""
+        if batch == self.batch:
+            return self
+        return self._memoized(("batch", batch), lambda: build_profile(
+            self.cost_model, self.compiled, batch))
+
+    def versions_at(self, pressure: float) -> tuple[Schedule, ...]:
+        """Each layer's code version at ``pressure``."""
+        return self._memoized(("versions", pressure), lambda: tuple(
+            entry.version_for(pressure) for entry in self.compiled.layers))
+
+    def cores_at(self, pressure: float) -> tuple[int, ...]:
+        """Each layer's core demand at ``pressure``: the cores for the
+        layer, under its :meth:`versions_at` version, to meet its budget
+        (the whole machine when infeasible).  At batch > 1 the unbatched
+        layer meets the batch-scaled budget, a known defect that
+        ``TestBatchedLayerSizing`` pins."""
+        model = self.cost_model
+        return self._memoized(("cores", pressure), lambda: tuple(
+            model.required_cores(layer, version,
+                                 max(budget - model.launch_s, 1e-7),
+                                 pressure) or model.cpu.cores
+            for layer, version, budget in zip(
+                self.compiled.graph.layers, self.versions_at(pressure),
+                self.layer_budgets_s)))
+
+    def block_cores(self, start: int, stop: int, budget_s: float,
+                    pressure: float = 0.0, cap: int | None = None) -> int:
+        """Cores for layers ``[start, stop)`` as one block under their
+        :meth:`versions_at` versions (see :func:`block_required_cores`).
+        Static-version policies size at pressure 0, whose version row is
+        :attr:`static_versions` (the first calibration level is 0)."""
+        return self._memoized(
+            ("block", start, stop, budget_s, pressure, cap),
+            lambda: block_required_cores(
+                self.cost_model, self.compiled, start, stop,
+                self.versions_at(pressure)[start:stop], budget_s,
+                interference=pressure, cap=cap, batch=self.batch))
+
+    def _memoized(self, key: tuple, build):
+        value = self.plan_memo.get(key)
+        if value is None:
+            value = build()
+            self.plan_memo.put(key, value)
+        return value
 
 
 def build_profile(cost_model: CostModel, compiled: CompiledModel,
@@ -101,6 +168,8 @@ def build_profile(cost_model: CostModel, compiled: CompiledModel,
         compiled.qos_s * 0.85 * batch, cost_model.cpu.cores)
     return ModelProfile(
         compiled=compiled,
+        cost_model=cost_model,
+        batch=batch,
         static_versions=versions,
         layer_budgets_s=budgets,
         layer_required_cores=tuple(required),
@@ -147,14 +216,6 @@ class SpatialScheduler:
                  profiles: dict[str, ModelProfile]) -> None:
         self.cost_model = cost_model
         self.profiles = profiles
-        #: Batch-scaled profile variants, built on first use per
-        #: (model, batch) — fused batches are few and their sizes
-        #: bounded by ``BatchPolicy.max_batch``, so this stays tiny.
-        self._batched_profiles: dict[tuple[str, int], ModelProfile] = {}
-        #: The plan memo behind :meth:`layer_cores` and
-        #: :meth:`block_cores`.  Their keys are 4- and 6-tuples, so the
-        #: two calls never collide.
-        self._plan_memo = PricingCache(max_entries=PLAN_MEMO_ENTRIES)
 
     # -- policy hooks --------------------------------------------------------
 
@@ -172,61 +233,7 @@ class SpatialScheduler:
         except KeyError:
             raise KeyError(f"no profile for model {query.model.name!r};"
                            " build_profile() it first") from None
-        if query.batch <= 1:
-            return profile
-        key = (query.model.name, query.batch)
-        scaled = self._batched_profiles.get(key)
-        if scaled is None:
-            scaled = build_profile(self.cost_model, profile.compiled,
-                                   query.batch)
-            self._batched_profiles[key] = scaled
-        return scaled
-
-    # -- sizing (the plan memo) ----------------------------------------------
-
-    def layer_cores(self, profile: ModelProfile, index: int,
-                    version: Schedule, pressure: float) -> int:
-        """Cores for layer ``index`` to meet its budget under ``pressure``.
-
-        The per-layer sizing call of the interference-adaptive policies:
-        ``version`` is the code version picked for ``pressure``, and an
-        infeasible budget takes the whole machine.  Memoised on (layer
-        signature, version, budget, pressure).
-        """
-        layer = profile.compiled.graph.layers[index]
-        budget = profile.layer_budgets_s[index]
-        key = (layer.signature, version, budget, pressure)
-        cores = self._plan_memo.get(key)
-        if cores is None:
-            cost_model = self.cost_model
-            cores = cost_model.required_cores(
-                layer, version, max(budget - cost_model.launch_s, 1e-7),
-                pressure) or cost_model.cpu.cores
-            self._plan_memo.put(key, cores)
-        return cores
-
-    def block_cores(self, query: Query, start: int, stop: int,
-                    versions: tuple[Schedule, ...], budget_s: float,
-                    pressure: float = 0.0, cap: int | None = None) -> int:
-        """Cores for layers ``[start, stop)`` of ``query`` as one block
-        (see :func:`block_required_cores`).
-
-        Memoised on ``(model, start, stop, pressure, cap, batch)``.  The
-        key leaves out ``versions`` and ``budget_s``: a policy must
-        derive both from the keyed values alone, so that within one
-        scheduler they are functions of the key.  Every policy here
-        does — versions come from the model and the pressure, budgets
-        from the model's (batch) profile and a fixed per-scheduler
-        headroom.
-        """
-        key = (query.model.name, start, stop, pressure, cap, query.batch)
-        cores = self._plan_memo.get(key)
-        if cores is None:
-            cores = block_required_cores(
-                self.cost_model, query.model, start, stop, versions,
-                budget_s, interference=pressure, cap=cap, batch=query.batch)
-            self._plan_memo.put(key, cores)
-        return cores
+        return profile.at_batch(query.batch)
 
     # -- driver ---------------------------------------------------------------
 

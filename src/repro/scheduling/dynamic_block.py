@@ -84,40 +84,18 @@ class DynamicBlockScheduler(SpatialScheduler):
         self.threshold_policy = (threshold_policy
                                  or ProportionalThresholdPolicy())
 
-    # -- version/requirement hooks (overridden by the full scheduler) -----
+    # -- planning hooks (overridden by the full scheduler) ------------------
 
     def planning_pressure(self, engine: Engine) -> float:
         """Static configuration ignores interference when planning."""
         return 0.0
 
-    def version_for(self, query: Query, index: int, pressure: float):
-        return self.profile_for(query).static_versions[index]
-
-    def required_cores_for(self, profile: ModelProfile, index: int,
-                           version, pressure: float) -> int:
-        return profile.layer_required_cores[index]
+    def layer_plan(self, profile: ModelProfile, pressure: float):
+        """Each layer's code version and core demand at ``pressure``:
+        the profile's static rows."""
+        return profile.static_versions, profile.layer_required_cores
 
     # -- Alg. 2 ----------------------------------------------------------------
-
-    def find_first_pivot(self, engine: Engine, query: Query, cap: int,
-                         pressure: float) -> int:
-        """First layer after the block start whose demand exceeds the cap.
-
-        Returns the pivot index (the beginning of the *next* block), or
-        the model length when no later layer is conflict-prone.
-        """
-        profile = self.profile_for(query)
-        start = query.next_layer
-        # "Much higher than the averaged value" (paper Sec. 4.2): only
-        # layers clearly above the cap split a block; borderline layers
-        # are absorbed by the block's shared budget.
-        cutoff = cap * 1.25
-        for index in range(start + 1, len(query.model.layers)):
-            version = self.version_for(query, index, pressure)
-            if self.required_cores_for(profile, index, version,
-                                       pressure) >= cutoff:
-                return index
-        return len(query.model.layers)
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         profile = self.profile_for(query)
@@ -126,12 +104,27 @@ class DynamicBlockScheduler(SpatialScheduler):
         cap = min(self.cost_model.cpu.cores,
                   max(1, profile.avg_cores + threshold))
 
+        versions, demands = self.layer_plan(profile, pressure)
         start = query.next_layer
-        stop = self.find_first_pivot(engine, query, cap, pressure)
-        versions = tuple(self.version_for(query, i, pressure)
-                         for i in range(start, stop))
+        stop = find_first_pivot(demands, start, cap)
         budget = sum(profile.layer_budgets_s[start:stop]) * _BUDGET_HEADROOM
-        desired = self.block_cores(query, start, stop, versions, budget,
-                                   pressure=pressure, cap=cap)
+        desired = profile.block_cores(start, stop, budget, pressure=pressure,
+                                      cap=cap)
         return BlockPlan(stop_layer=stop, desired_cores=desired,
-                         versions=versions)
+                         versions=versions[start:stop])
+
+
+def find_first_pivot(demands: tuple[int, ...], start: int, cap: int) -> int:
+    """First layer after the block start whose demand exceeds the cap.
+
+    Returns the pivot index (the beginning of the *next* block), or the
+    model length when no later layer is conflict-prone.
+    """
+    # "Much higher than the averaged value" (paper Sec. 4.2): only
+    # layers clearly above the cap split a block; borderline layers
+    # are absorbed by the block's shared budget.
+    cutoff = cap * 1.25
+    for index in range(start + 1, len(demands)):
+        if demands[index] >= cutoff:
+            return index
+    return len(demands)

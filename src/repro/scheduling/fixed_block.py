@@ -30,8 +30,7 @@ class FixedBlockScheduler(SpatialScheduler):
         profile = self.profile_for(query)
         start = query.next_layer
         stop = min(start + self.block_size, len(query.model.layers))
-        versions = profile.static_versions[start:stop]
-        desired = self.block_cores(query, start, stop, versions,
-                                   sum(profile.layer_budgets_s[start:stop]))
+        desired = profile.block_cores(
+            start, stop, sum(profile.layer_budgets_s[start:stop]))
         return BlockPlan(stop_layer=stop, desired_cores=desired,
-                         versions=versions)
+                         versions=profile.static_versions[start:stop])

@@ -93,12 +93,10 @@ class GacerScheduler(SpatialScheduler):
         profile = self.profile_for(query)
         start = query.next_layer
         stop = min(start + self.block_layers, len(query.model.layers))
-        versions = profile.static_versions[start:stop]
 
         # An even share of the machine per admitted co-runner.
         cap = max(1, self.cost_model.cpu.cores // self.concurrency)
         budget = sum(profile.layer_budgets_s[start:stop]) * _BUDGET_HEADROOM
-        desired = self.block_cores(query, start, stop, versions, budget,
-                                   cap=cap)
+        desired = profile.block_cores(start, stop, budget, cap=cap)
         return BlockPlan(stop_layer=stop, desired_cores=desired,
-                         versions=versions)
+                         versions=profile.static_versions[start:stop])

@@ -54,10 +54,9 @@ class AdaptiveCompilationOnly(LayerWiseScheduler):
             estimate_system_pressure(engine, self.proxy))
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
+        profile = self.profile_for(query)
         index = query.next_layer
         pressure = self.planning_pressure(engine)
-        version = query.model.layers[index].version_for(pressure)
-        desired = self.layer_cores(self.profile_for(query), index, version,
-                                   pressure)
-        return BlockPlan(stop_layer=index + 1, desired_cores=desired,
-                         versions=(version,))
+        return BlockPlan(stop_layer=index + 1,
+                         desired_cores=profile.cores_at(pressure)[index],
+                         versions=(profile.versions_at(pressure)[index],))

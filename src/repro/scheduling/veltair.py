@@ -16,7 +16,6 @@ from repro.interference.proxy import (
     estimate_system_pressure,
 )
 from repro.runtime.engine import Engine
-from repro.runtime.tasks import Query
 from repro.scheduling.base import ModelProfile
 from repro.scheduling.dynamic_block import (
     DynamicBlockScheduler,
@@ -48,9 +47,6 @@ class VeltairScheduler(DynamicBlockScheduler):
         estimate = estimate_system_pressure(engine, self.proxy)
         return engine.quantize_pressure(estimate)
 
-    def version_for(self, query: Query, index: int, pressure: float):
-        return query.model.layers[index].version_for(pressure)
-
-    def required_cores_for(self, profile: ModelProfile, index: int,
-                           version, pressure: float) -> int:
-        return self.layer_cores(profile, index, version, pressure)
+    def layer_plan(self, profile: ModelProfile, pressure: float):
+        """The profile's version and demand rows at ``pressure``."""
+        return profile.versions_at(pressure), profile.cores_at(pressure)

@@ -69,10 +69,12 @@ class NodeRuntime:
     itself, the scheduling profiles (unit requirements change with
     machine width and device economics), the pricing cache (prices are
     bound to one cost model), and the interference proxy (counter
-    magnitudes do not port across specs).  Nodes with the same
-    :class:`DeviceSpec` share one runtime, so a homogeneous fleet shares
-    a single warm pricing cache.  The field keeps its historical ``cpu``
-    name.
+    magnitudes do not port across specs).  The profiles carry the
+    device's plan table (:class:`ModelProfile`'s memoised version,
+    demand and block rows), kept for the stack's life.  Nodes with the
+    same :class:`DeviceSpec` share one runtime, so a homogeneous fleet
+    shares a single warm pricing cache and plan table.  The field keeps
+    its historical ``cpu`` name.
     """
 
     cpu: CpuSpec | DeviceSpec

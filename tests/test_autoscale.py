@@ -325,37 +325,38 @@ class TestAutoscaleServe:
 
 
 class TestPlanCacheBound:
-    """The scheduler plan memo is size-capped; eviction never changes
+    """Each profile's plan memo is size-capped; eviction never changes
     results."""
 
-    def test_required_cache_bounded_and_results_identical(self,
-                                                          light_stack):
-        queries_a = scenario_queries(light_stack.compiled, "bursty", 300,
-                                     120, seed=4, spec=MIX)
-        queries_b = scenario_queries(light_stack.compiled, "bursty", 300,
-                                     120, seed=4, spec=MIX)
-
+    def test_required_cache_bounded_and_results_identical(self, light_stack,
+                                                          monkeypatch):
+        import repro.scheduling.base
         from repro.runtime.engine import Engine
-        from repro.runtime.pricing import PricingCache
+        from repro.scheduling.base import build_profile
         from repro.scheduling.veltair import VeltairScheduler
 
-        unbounded = VeltairScheduler(light_stack.cost_model,
-                                     light_stack.profiles, proxy=None)
-        engine_a = Engine(light_stack.cost_model,
-                          price_cache=light_stack.price_cache)
-        done_a = engine_a.run(queries_a, unbounded)
-        assert len(unbounded._plan_memo) > 8  # the memo is live
+        def serve():
+            # Fresh profiles, so the memo bound in force is the one
+            # they are built under.
+            profiles = {name: build_profile(light_stack.cost_model,
+                                            light_stack.compiled[name])
+                        for name, _ in MIX.entries}
+            queries = scenario_queries(light_stack.compiled, "bursty", 300,
+                                       120, seed=4, spec=MIX)
+            engine = Engine(light_stack.cost_model,
+                            price_cache=light_stack.price_cache)
+            done = engine.run(queries, VeltairScheduler(
+                light_stack.cost_model, profiles, proxy=None))
+            memos = [profile.plan_memo for profile in profiles.values()]
+            return {q.query_id: q.finished_s for q in done}, memos
 
-        tiny = VeltairScheduler(light_stack.cost_model,
-                                light_stack.profiles, proxy=None)
-        tiny._plan_memo = PricingCache(max_entries=8)
-        engine_b = Engine(light_stack.cost_model,
-                          price_cache=light_stack.price_cache)
-        done_b = engine_b.run(queries_b, tiny)
+        finished_a, memos = serve()
+        assert all(len(memo) > 8 for memo in memos)  # the memo is live
+
+        monkeypatch.setattr(repro.scheduling.base, "PLAN_MEMO_ENTRIES", 8)
+        finished_b, memos = serve()
         # Steady state: the capped memo never exceeds its bound, and
         # eviction only forces recomputes — results are bit-identical.
-        assert len(tiny._plan_memo) <= 8
-        assert tiny._plan_memo.evictions > 0
-        finished_a = {q.query_id: q.finished_s for q in done_a}
-        finished_b = {q.query_id: q.finished_s for q in done_b}
+        assert all(len(memo) <= 8 for memo in memos)
+        assert all(memo.evictions > 0 for memo in memos)
         assert finished_a == finished_b

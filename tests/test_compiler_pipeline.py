@@ -262,11 +262,11 @@ class TestSinglePassCompiler:
         compiled = compiler.compile_layer(conv_layer, qos_budget_s=1e-9)
         assert compiled.version_count >= 1
 
-    def test_level_index_bisect_matches_nearest_scan(self, compiled):
-        # The bisect over precomputed thresholds replaced an O(levels)
-        # scan on the pricing-miss hot path; selection must be
-        # bit-identical across a dense pressure grid, exact midpoints,
-        # and their ulp neighbours (where float tie-breaks live).
+    def test_level_index_is_nearest_level(self, compiled):
+        # The specification of version lookup: the nearest calibration
+        # level, equal distances resolving to the lower level, across a
+        # dense pressure grid, exact midpoints, and their ulp neighbours
+        # (where float tie-breaks live).
         import math
 
         def nearest_scan(levels, pressure):

@@ -147,7 +147,7 @@ class TestVeltairFull:
 
 class TestBatchedLayerSizing:
     @pytest.mark.xfail(strict=True, reason=(
-        "known defect: SpatialScheduler.layer_cores sizes a batch-B layer "
+        "known defect: ModelProfile.cores_at sizes a batch-B layer "
         "with the unbatched LayerSpec against its B x budget; the fix "
         "moves the batch4 golden outcomes of veltair_ac and veltair_full"))
     def test_adaptive_sizing_folds_the_batch(self, light_stack):
@@ -281,3 +281,56 @@ class TestGoldenOutcomes:
         assert len(done) == 60
         assert (crc, metrics.conflicts, metrics.grows,
                 metrics.blocks_started) == _GOLDEN[policy, batched]
+
+
+class TestPlanTable:
+    """Each device's profiles are its plan table: one table serves every
+    run, node and policy, and schedulers hold no caches."""
+
+    def test_second_run_reuses_the_plan_table(self, light_stack,
+                                              monkeypatch):
+        import repro.scheduling.base
+
+        original = repro.scheduling.base.block_required_cores
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])  # the block's (start, stop)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.scheduling.base, "block_required_cores",
+                            counted)
+        for policy in ("veltair_full", "veltair_as", "gacer", "block6"):
+            outcomes = []
+            for _ in range(2):
+                calls.clear()
+                queries = poisson_queries(light_stack.compiled,
+                                          _mix_spec(), 400, 60, seed=3)
+                done, _ = light_stack.run(policy, queries)
+                outcomes.append([(q.query_id, q.finished_s) for q in done])
+            # The session stack may reach the first run warm; the second
+            # finds every block it sizes in the table.
+            assert calls == [], policy
+            assert outcomes[0] == outcomes[1], policy
+
+    def test_batched_profile_is_shared(self, light_stack):
+        from repro.runtime.tasks import fuse_batch
+
+        query = fuse_batch(poisson_queries(
+            light_stack.compiled, single_model("mobilenet_v2"), 100.0, 4,
+            seed=1))
+        first = light_stack.make_scheduler("veltair_full").profile_for(query)
+        assert first.batch == 4
+        assert light_stack.make_scheduler(
+            "veltair_full").profile_for(query) is first
+
+    def test_static_versions_are_the_zero_pressure_row(self, light_stack,
+                                                       resnet_stack):
+        # Static policies size blocks from the pressure-0 row, so their
+        # block entries are complete for the profile they share.
+        for stack in (light_stack, resnet_stack):
+            for profile in stack.profiles.values():
+                for batch in (1, 4):
+                    scaled = profile.at_batch(batch)
+                    assert scaled.versions_at(0.0) == scaled.static_versions, (
+                        profile.compiled.name, batch)
