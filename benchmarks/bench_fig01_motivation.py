@@ -49,7 +49,7 @@ class _FixedGrant:
 
     def schedule(self, engine):
         for queue in (engine.ready, engine.waiting):
-            while queue and engine.allocator.available >= self.cores:
+            while queue and engine.available_cores >= self.cores:
                 query = queue.popleft()
                 profile = self.stack.profiles[query.model.name]
                 engine.start_block(query, len(query.model.layers),

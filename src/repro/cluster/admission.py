@@ -82,9 +82,7 @@ class AdmissionController:
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
-        self.admitted = 0
         self.deferrals = 0
-        self.shed = 0
 
     def decide(self, nodes, query, attempts: int) -> str:
         """``admit``/``defer``/``shed`` for one offer of one query.
@@ -98,10 +96,8 @@ class AdmissionController:
             or (fleet_outstanding_per_core(nodes)
                 > policy.max_outstanding_per_core))
         if not overloaded:
-            self.admitted += 1
             return ADMIT
         if policy.mode == DEFER and attempts < policy.max_defers:
             self.deferrals += 1
             return DEFER
-        self.shed += 1
         return SHED

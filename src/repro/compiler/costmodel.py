@@ -46,6 +46,7 @@ streams, device-L2 reuse less load-bearing than CPU LLC reuse).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -54,6 +55,12 @@ from repro.config import CACHE_LINE_BYTES, FP32_BYTES
 from repro.hardware.platform import CpuSpec, DeviceSpec
 from repro.models.layers import LayerSpec
 from repro.compiler.schedule import Schedule, num_tiles
+
+#: Bound of :attr:`CostModel._memo`.  A miss on a full memo drops its
+#: oldest eighth, as :class:`~repro.runtime.pricing.PricingCache` does.
+#: The key holds the exact clamped interference, so an entry is a pure
+#: function of its key and eviction never changes a result.
+MEMO_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,7 @@ class CostModel:
         self.cpu = cpu
         self.kind = getattr(cpu, "kind", "cpu")
         self.params = params or CostModelParams()
+        #: Execution memo, bounded by :data:`MEMO_ENTRIES`.
         self._memo: dict[tuple, CostBreakdown] = {}
         self._accel = self.kind == "accelerator"
         p = self.params
@@ -331,7 +339,7 @@ class CostModel:
         if cores < 1:
             raise ValueError("cores must be >= 1")
         interference = min(1.0, max(0.0, interference))
-        key = (layer.signature, schedule, cores, round(interference, 4))
+        key = (layer.signature, schedule, cores, interference)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -387,7 +395,12 @@ class CostModel:
             flops=layer.flops,
             slowdown=slowdown,
         )
-        self._memo[key] = result
+        memo = self._memo
+        if len(memo) >= MEMO_ENTRIES:
+            drop = max(1, MEMO_ENTRIES // 8)
+            for stale in list(itertools.islice(iter(memo), drop)):
+                del memo[stale]
+        memo[key] = result
         return result
 
     def latency(self, layer: LayerSpec, schedule: Schedule, cores: int,

@@ -63,8 +63,8 @@ class DeviceSpec:
 
     A device is a pool of identical parallel execution units (CPU cores
     or accelerator SMs/streams) over a cache/memory hierarchy.  The
-    cost model, the engine's allocator, and the schedulers address any
-    device through this surface:
+    cost model, the engine's core ledger, and the schedulers address
+    any device through this surface:
 
     * ``kind`` — registry discriminator (``"cpu"``/``"accelerator"``);
       part of the compiled-artifact content hash for non-CPU kinds.
@@ -160,9 +160,9 @@ class CpuSpec(DeviceSpec):
 class AcceleratorSpec(DeviceSpec):
     """A GPU-like SM/streams device as seen by the cost model.
 
-    The allocation unit is one SM (stream processor): the engine's
-    allocator hands out SMs exactly as it hands out CPU cores, so
-    stream-level spatial multitasking rides on the existing machinery.
+    The allocation unit is one SM (stream processor): the engine grants
+    SMs to blocks exactly as it grants CPU cores, so stream-level
+    spatial multitasking rides on the existing machinery.
     What differs is the execution economics, captured here:
 
     * **Wide SIMT units** — ``simt_lanes`` lanes execute in lockstep;
@@ -241,7 +241,7 @@ class AcceleratorSpec(DeviceSpec):
 
     @property
     def cores(self) -> int:
-        """Allocation units — SMs; named for the allocator's vocabulary."""
+        """Allocation units — SMs; named for the core ledger's vocabulary."""
         return self.sms
 
     @property

@@ -1,12 +1,10 @@
-"""Runtime substrate: core allocation, task records, and the DES engine."""
+"""Runtime substrate: task records, the pricing cache, and the DES engine."""
 
-from repro.runtime.allocator import AllocationError, CoreAllocator
 from repro.runtime.engine import Engine, SimulationMetrics
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, RunningBlock, block_duration
 
 __all__ = [
-    "AllocationError", "CoreAllocator",
     "Engine", "SimulationMetrics",
     "PricingCache",
     "Query", "RunningBlock", "block_duration",

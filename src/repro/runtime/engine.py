@@ -16,17 +16,22 @@ QPS-with-95%-QoS evaluation lives in):
   (:attr:`RunningBlock.priced_quantum`).  A co-location change only
   re-prices blocks whose quantum actually moved; everyone else keeps
   their rate and their scheduled finish event.
-* **Heap hygiene** — finish events are lazily deleted: a stale event
-  (superseded generation) is dropped at pop time without advancing the
-  clock, a per-engine stale counter triggers heap compaction when stale
-  entries dominate, and arrivals are staged into the heap one at a time,
+* **One core ledger** — the running blocks are the ledger:
+  :attr:`Engine.cores_used` is the sum of their ``cores``, kept at block
+  start, grow and finish, so :attr:`Engine.available_cores` is O(1).
+* **Heap hygiene** — events are lazily deleted under one stale rule
+  (:meth:`Engine._stale`): a finish event whose block finished or was
+  re-priced (superseded generation), or a batch timer whose group closed
+  early, is dropped at the heap top without advancing the clock.  A
+  per-engine stale counter triggers heap compaction when stale finish
+  events dominate, and arrivals are staged into the heap one at a time,
   so the heap stays O(running blocks) rather than O(pushed events).
 * **Shared pricing cache** — pricing goes through a
   :class:`~repro.runtime.pricing.PricingCache` that the serving stack
   persists across runs and policies, so identical blocks recurring in a
   QPS sweep skip the cost model entirely.
 
-The engine owns mechanics only (clock, events, core accounting, pressure
+The engine owns mechanics only (clock, events, core ledger, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
 through a single callback, :meth:`Scheduler.schedule`.
 
@@ -49,7 +54,6 @@ from typing import Protocol
 from repro.compiler.costmodel import CostModel
 from repro.compiler.schedule import Schedule
 from repro.models.layers import batched
-from repro.runtime.allocator import CoreAllocator
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import (
     BatchQuery,
@@ -64,8 +68,8 @@ from repro.runtime.tasks import (
 #: half-step of pressure stale, a few percent of latency under the
 #: linear contention model) against repricing churn (a finer step makes
 #: every co-location change flip more blocks' quanta).  The interference
-#: proxy itself only resolves 0.01 and the cost model memoises at 1e-4,
-#: so 0.05 keeps the engine well inside the model's own noise floor.
+#: proxy itself only resolves 0.01, so 0.05 keeps the engine well inside
+#: the proxy's own noise floor.
 _PRESSURE_QUANTUM = 0.05
 
 #: Soon-to-finish filter (paper Sec. 4.3): a running block with at most
@@ -156,7 +160,9 @@ class Engine:
                  on_complete=None) -> None:
         self.cost_model = cost_model
         self.cpu = cost_model.cpu
-        self.allocator = CoreAllocator(self.cpu.cores)
+        #: Cores held by the running blocks: the sum of their ``cores``,
+        #: kept at :meth:`start_block`, :meth:`grow_block` and finish.
+        self.cores_used = 0
         self.soon_to_finish_threshold = _SOON_TO_FINISH_THRESHOLD
         self.now = 0.0
         self.metrics = SimulationMetrics()
@@ -184,9 +190,6 @@ class Engine:
             raise ValueError(
                 "price_cache is bound to a different cost model; "
                 "pricing results are not portable across cost models")
-        #: Blocks that must be re-priced regardless of pressure quantum
-        #: (just started, or grown and owing spawn overhead).
-        self._needs_pricing: set[int] = set()
         #: Running sums maintained incrementally so that pressure and
         #: counter aggregation are O(1) instead of O(running blocks).
         self._pressure_sum = 0.0
@@ -219,11 +222,10 @@ class Engine:
         #: powers closed-loop tenants and pipeline stage hand-off.
         #: ``None`` (the default) keeps the completion path untouched.
         self.on_complete = on_complete
-        #: Open batch groups by model name, plus a per-model token that
-        #: invalidates the pending max-wait flush event once a group
-        #: closes early (lazy deletion, same idiom as finish events).
+        #: Open batch groups by model name.  A group's max-wait timer
+        #: carries the group list itself, so the timer goes stale once
+        #: the group closes early (see :meth:`_stale`).
         self._batch_pending: dict[str, list[Query]] = {}
-        self._batch_token: dict[str, int] = {}
         self._batch_queued = 0
 
     # ------------------------------------------------------------------
@@ -263,6 +265,11 @@ class Engine:
         """
         return self.queued + len(self.running)
 
+    @property
+    def available_cores(self) -> int:
+        """Cores no running block holds."""
+        return self.cpu.cores - self.cores_used
+
     def quantize_pressure(self, pressure: float) -> float:
         """Snap a pressure estimate to the pricing grid (0.05 steps).
 
@@ -297,16 +304,17 @@ class Engine:
         """Begin executing layers ``[query.next_layer, stop_layer)``.
 
         ``desired_cores`` marks a scheduling conflict: the policy wanted
-        more than it could get and intends to grow later.
+        more than it could get and intends to grow later.  Raises
+        ``ValueError`` unless ``1 <= cores <= available_cores``.
         """
         start_layer = query.next_layer
         if not start_layer < stop_layer <= len(query.model.layers):
             raise ValueError(
                 f"bad block range [{start_layer}, {stop_layer}) for "
                 f"{query.model.name}")
+        self._take_cores(cores)
         desired = desired_cores if desired_cores is not None else cores
         task_id = next(self._task_ids)
-        self.allocator.allocate(task_id, cores)
 
         block = RunningBlock(
             task_id=task_id, query=query, start_layer=start_layer,
@@ -329,7 +337,6 @@ class Engine:
                     "conflict", self.now, cat="engine",
                     qid=query.query_id,
                     args={"desired": desired, "granted": cores})
-        self._needs_pricing.add(task_id)
         self.colocation_epoch += 1
         self._dirty = True
         return task_id
@@ -338,10 +345,11 @@ class Engine:
         """Give a conflicted block more cores (paper's recovery technique).
 
         The added threads cost one spawn, charged against the block's
-        remaining work at the next re-pricing.
+        remaining work at the next re-pricing.  Raises ``ValueError``
+        unless ``1 <= extra_cores <= available_cores``.
         """
         block = self.running[task_id]
-        self.allocator.grow(task_id, extra_cores)
+        self._take_cores(extra_cores)
         block.cores += extra_cores
         block.pending_overhead_s += self.cost_model.expand_overhead(
             extra_cores)
@@ -355,13 +363,21 @@ class Engine:
                 "grow", self.now, cat="engine",
                 qid=block.query.query_id,
                 args={"extra": extra_cores, "cores": block.cores})
-        self._needs_pricing.add(task_id)
+        block.priced_quantum = -1.0  # owes its spawn: re-price next round
         self.colocation_epoch += 1
         self._dirty = True
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _take_cores(self, cores: int) -> None:
+        """Debit a grant from the free cores, which it must fit."""
+        if not 1 <= cores <= self.available_cores:
+            raise ValueError(
+                f"cannot grant {cores} cores: {self.available_cores} "
+                f"of {self.cpu.cores} free")
+        self.cores_used += cores
 
     def _block_pressure(self, block: RunningBlock) -> float:
         """Duration-weighted pressure contribution of a block's layers."""
@@ -391,7 +407,7 @@ class Engine:
         """Bank progress for all running blocks up to ``to_time``."""
         if self.metrics.first_event_s is None:
             self.metrics.first_event_s = to_time
-        used = self.allocator.used
+        used = self.cores_used
         dt_total = to_time - self.metrics.last_event_s
         if dt_total > 0:
             self.metrics.usage_core_seconds += used * dt_total
@@ -472,7 +488,6 @@ class Engine:
         round (the pre-overhaul behaviour, kept for A/B checks).
         """
         total = self._pressure_sum
-        needs = self._needs_pricing
         changed = False
         for block in self.running.values():
             excluded = total - block.pressure
@@ -481,12 +496,10 @@ class Engine:
             elif excluded > 1.0:
                 excluded = 1.0
             quantum = self.quantize_pressure(excluded)
-            if (self.incremental and block.task_id not in needs
-                    and quantum == block.priced_quantum):
+            if self.incremental and quantum == block.priced_quantum:
                 continue
             self._reprice_block(block, quantum)
             changed = True
-        needs.clear()
         self._dirty = False
         if changed:
             self.pressure_epoch += 1
@@ -504,14 +517,9 @@ class Engine:
             return
         if self._stale_finish * 2 <= len(self._events):
             return
-        live = []
-        for event in self._events:
-            if event[2] == "finish":
-                task_id, generation = event[3]
-                block = self.running.get(task_id)
-                if block is None or block.generation != generation:
-                    continue
-            live.append(event)
+        live = [event for event in self._events
+                if event[2] != "finish"
+                or not self._stale(event[2], event[3])]
         self.metrics.stale_events_dropped += len(self._events) - len(live)
         self._events = live
         heapq.heapify(self._events)
@@ -519,7 +527,7 @@ class Engine:
         self.metrics.heap_compactions += 1
 
     def _finish_block(self, block: RunningBlock) -> None:
-        self.allocator.release(block.task_id)
+        self.cores_used -= block.cores
         del self.running[block.task_id]
         self._pressure_sum -= block.pressure
         self._miss_sum -= block.miss_lines_per_s
@@ -580,18 +588,16 @@ class Engine:
         """Park a fresh arrival in its model's open batch group.
 
         The first member opens the group and arms a ``max_wait_s``
-        flush timer; reaching ``max_batch`` closes the group early (the
-        timer goes stale via the per-model token and is dropped lazily,
-        like superseded finish events).
+        flush timer carrying the group; reaching ``max_batch`` closes the
+        group early, and the timer goes stale and is dropped lazily,
+        like superseded finish events.
         """
         name = query.model.name
         group = self._batch_pending.get(name)
         if group is None:
             group = self._batch_pending[name] = []
-            token = self._batch_token.get(name, 0) + 1
-            self._batch_token[name] = token
             self._push_event(self.now + self.batching.max_wait_s,
-                             "batch", (name, token))
+                             "batch", (name, group))
         group.append(query)
         self._batch_queued += 1
         if len(group) >= self.batching.max_batch:
@@ -600,7 +606,6 @@ class Engine:
     def _batch_flush(self, name: str) -> None:
         """Close a batch group and hand its payload to the scheduler."""
         group = self._batch_pending.pop(name)
-        self._batch_token[name] += 1  # invalidate any pending timer
         self._batch_queued -= len(group)
         if len(group) == 1:
             # Sparse traffic: release the original query unwrapped, so
@@ -692,10 +697,6 @@ class Engine:
             if len(self._events) > self.metrics.heap_peak:
                 self.metrics.heap_peak = len(self._events)
 
-    @property
-    def _arrivals_pending(self) -> bool:
-        return self._arrival_cursor < len(self._arrivals)
-
     def run(self, queries: list[Query], scheduler: Scheduler) -> list[Query]:
         """Simulate until all queries complete: :meth:`begin` +
         :meth:`drain`.  Returns completed queries in completion order;
@@ -763,56 +764,56 @@ class Engine:
     def next_event_s(self) -> float | None:
         """Earliest live event time in this engine, or None when idle.
 
-        Pops stale finish events (and stale batch-flush timers) off the
-        heap top exactly as the drive loop would, so the answer is the
-        time :meth:`run_until` would next act at.  The cluster serve
-        loop steps request-model serves by it, so completion-hook
-        hand-offs are offered at their own instant on every node.
+        Drops stale events off the heap top exactly as the drive loop
+        would (:meth:`_peek`), so the answer is the time
+        :meth:`run_until` would next act at.  The cluster serve loop
+        steps request-model serves by it, so completion-hook hand-offs
+        are offered at their own instant on every node.
         """
-        while self._events:
-            time, _, kind, payload = self._events[0]
-            if kind == "finish":
-                task_id, generation = payload
-                block = self.running.get(task_id)
-                if block is None or block.generation != generation:
-                    heapq.heappop(self._events)
-                    self._stale_finish -= 1
-                    self.metrics.stale_events_dropped += 1
-                    continue
-            elif kind == "batch":
-                name, token = payload
-                if self._batch_token.get(name) != token:
-                    heapq.heappop(self._events)
-                    continue
-            return time
-        if self._arrivals_pending:
-            return self._arrivals[self._arrival_cursor][0]
+        event = self._peek()
+        return None if event is None else event[0]
+
+    def _stale(self, kind: str, payload) -> bool:
+        """Whether a heap event was superseded after it was pushed.
+
+        A finish event is stale once its block has finished or was
+        re-priced (its generation moved on); a batch timer once its
+        group is no longer the model's open one.  Arrivals never are.
+        """
+        if kind == "finish":
+            block = self.running.get(payload[0])
+            return block is None or block.generation != payload[1]
+        if kind == "batch":
+            return self._batch_pending.get(payload[0]) is not payload[1]
+        return False
+
+    def _peek(self) -> tuple | None:
+        """The earliest live event, left on the heap; None when idle.
+
+        Stale events on the heap top are popped on the way, without
+        advancing the clock (progress banking is linear, so skipping
+        the no-op advance changes nothing).
+        """
+        events = self._events
+        while events:
+            event = events[0]
+            if not self._stale(event[2], event[3]):
+                return event
+            heapq.heappop(events)
+            if event[2] == "finish":
+                self._stale_finish -= 1
+                self.metrics.stale_events_dropped += 1
         return None
 
     def _drive(self, horizon_s: float | None) -> None:
         scheduler = self._scheduler
         if scheduler is None:
             raise RuntimeError("no scheduler bound; call begin()/run()")
-        while self._events:
-            event = heapq.heappop(self._events)
+        while (event := self._peek()) is not None:
             time, _, kind, payload = event
-            if kind == "finish":
-                task_id, generation = payload
-                block = self.running.get(task_id)
-                if block is None or block.generation != generation:
-                    # Lazy deletion: drop the stale event without even
-                    # advancing the clock (progress banking is linear,
-                    # so skipping the no-op advance changes nothing).
-                    self._stale_finish -= 1
-                    self.metrics.stale_events_dropped += 1
-                    continue
-            elif kind == "batch":
-                name, token = payload
-                if self._batch_token.get(name) != token:
-                    continue  # group already closed early at max_batch
             if horizon_s is not None and time > horizon_s:
-                heapq.heappush(self._events, event)  # for the next call
-                break
+                break  # left on the heap for the next call
+            heapq.heappop(self._events)
             self._advance(time)
             if kind == "arrival":
                 if self.batching is not None and payload.next_layer == 0:
@@ -826,14 +827,12 @@ class Engine:
             elif kind == "batch":
                 self._batch_flush(payload[0])
             else:
-                self._finish_block(block)
+                self._finish_block(self.running[payload[0]])
             scheduler.schedule(self)
-            # A heap holding only stale finish events has no future in
-            # it — count live entries, or the drain loop would slide
-            # past this guard and silently drop the pending queries.
-            live_events = len(self._events) - self._stale_finish
+            # Only a live event can wake an idle machine: stale ones
+            # never fire, so a heap of them must not hide a deadlock.
             if (not self.running and (self.waiting or self.ready)
-                    and live_events <= 0 and not self._arrivals_pending):
+                    and self._peek() is None):
                 raise RuntimeError(
                     "scheduler deadlock: pending queries with an idle "
                     "machine and no future events")

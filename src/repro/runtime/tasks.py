@@ -148,7 +148,8 @@ class RunningBlock:
     #: Pressure this block exerts on co-runners.
     pressure: float = 0.0
     #: Quantized excluded pressure at the last pricing; the engine skips
-    #: re-pricing while this is unchanged.  -1.0 means never priced.
+    #: re-pricing while this is unchanged.  -1.0 means "price me at the
+    #: next round": a block that just started or grew.
     priced_quantum: float = -1.0
     #: Pending extra spawn cost (seconds) from a grow, charged as work.
     pending_overhead_s: float = 0.0

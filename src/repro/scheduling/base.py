@@ -243,7 +243,7 @@ class SpatialScheduler:
         for queue in (engine.ready, engine.waiting):
             is_new_arrivals = queue is engine.waiting
             while queue:
-                available = engine.allocator.available
+                available = engine.available_cores
                 if available <= 0:
                     return
                 plan = self.plan(engine, queue[0])
@@ -289,7 +289,7 @@ class SpatialScheduler:
                          if b.cores < b.desired_cores),
                         key=lambda b: b.started_s)
         for block in blocks:
-            free = engine.allocator.available
+            free = engine.available_cores
             if free <= 0:
                 return
             deficit = block.desired_cores - block.cores

@@ -23,7 +23,7 @@ class ModelWiseFcfs(SpatialScheduler):
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         profile = self.profile_for(query)
         need = profile.model_cores
-        if engine.allocator.available < need:
+        if engine.available_cores < need:
             return None  # head-of-line wait; not a scheduling conflict
         return BlockPlan(stop_layer=len(query.model.layers),
                          desired_cores=need,

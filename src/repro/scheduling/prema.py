@@ -69,7 +69,7 @@ class PremaScheduler:
             engine.ready.remove(chosen)
         else:
             engine.waiting.remove(chosen)
-        cores = engine.allocator.available
+        cores = engine.available_cores
         stop = self._chunk_stop(chosen, cores)
         profile = self.profiles[chosen.model.name]
         versions = profile.static_versions[chosen.next_layer:stop]

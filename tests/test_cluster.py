@@ -375,8 +375,8 @@ class TestAdmission:
         Every decision the controller makes is recorded: deferred
         queries must be re-offered exactly ``defer_s`` later with the
         attempt count bumped, interleaved in time order with later
-        arrivals, and the ``deferrals``/``shed`` counters must equal
-        the recorded decision stream.
+        arrivals, and the report's ``deferrals``/``shed``/``admitted``
+        counts must equal the recorded decision stream.
         """
         from repro.cluster.admission import AdmissionController
 
@@ -409,9 +409,8 @@ class TestAdmission:
         decisions = [entry[2] for entry in log]
         assert report.deferrals == controller.deferrals == (
             decisions.count("defer"))
-        assert report.shed == controller.shed == decisions.count("shed")
-        assert report.admitted == controller.admitted == (
-            decisions.count("admit"))
+        assert report.shed == decisions.count("shed")
+        assert report.admitted == decisions.count("admit")
         assert report.offered == report.admitted + report.shed
 
         # Per-query offer chains: attempts count 0, 1, ... and stop at

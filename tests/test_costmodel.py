@@ -10,6 +10,8 @@ from repro.models.layers import Conv2D, Pool
 from repro.compiler.costmodel import CostModel, CostModelParams
 from repro.compiler.schedule import Schedule
 from repro.compiler.space import ScheduleSpace
+from repro.runtime.engine import Engine
+from repro.serving.workload import WorkloadSpec, poisson_queries
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +184,44 @@ class TestOverheads:
         params = CostModelParams(cache_sensitivity=2.0)
         model = CostModel(THREADRIPPER_3990X, params)
         assert model.params.cache_sensitivity == 2.0
+
+
+class TestMemo:
+    def test_result_independent_of_call_history(self, conv_layer):
+        """A near-equal earlier interference must not serve its result."""
+        schedule = ScheduleSpace.for_layer(conv_layer).default_schedule()
+        warm = CostModel(THREADRIPPER_3990X)
+        warm.execution(conv_layer, schedule, 16, 0.35)
+        fresh = CostModel(THREADRIPPER_3990X)
+        assert (warm.execution(conv_layer, schedule, 16, 0.35004)
+                == fresh.execution(conv_layer, schedule, 16, 0.35004))
+
+    def test_bounded_memo_changes_no_outcome(self, light_stack,
+                                             monkeypatch):
+        """A capped memo evicts, stays under its cap, and the engine's
+        pricing through it finishes every query at the same instant."""
+        duo = WorkloadSpec(name="duo", entries=(("mobilenet_v2", 1.0),
+                                                ("googlenet", 1.0)))
+
+        def serve():
+            model = CostModel(light_stack.cpu, light_stack.cost_model.params)
+            policy = light_stack.make_scheduler("layerwise")
+            sizes = []
+
+            class Sampled:
+                def schedule(self, engine):
+                    policy.schedule(engine)
+                    sizes.append(len(model._memo))
+
+            queries = poisson_queries(light_stack.compiled, duo, 400, 60,
+                                      seed=5)
+            done = Engine(model).run(queries, Sampled())
+            outcome = [(q.query_id, q.finished_s) for q in done]
+            return outcome, len(model._memo), max(sizes)
+
+        unbounded, entries, _ = serve()
+        monkeypatch.setattr("repro.compiler.costmodel.MEMO_ENTRIES", 64)
+        bounded, capped, peak = serve()
+        assert entries > 64
+        assert max(capped, peak) <= 64
+        assert bounded == unbounded

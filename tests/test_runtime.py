@@ -1,73 +1,19 @@
-"""Core allocator and discrete-event engine tests."""
+"""Discrete-event engine tests: core ledger, events, and accounting."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.allocator import AllocationError, CoreAllocator
-from repro.runtime.engine import Engine
+from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.tasks import block_duration
-from repro.serving.workload import uniform_queries
+from repro.serving.workload import (WorkloadSpec, poisson_queries,
+                                    uniform_queries)
 
 
-class TestAllocator:
-    def test_grant_and_release(self):
-        alloc = CoreAllocator(8)
-        alloc.allocate(1, 5)
-        assert alloc.available == 3
-        assert alloc.release(1) == 5
-        assert alloc.available == 8
-
-    def test_over_allocation_rejected(self):
-        alloc = CoreAllocator(8)
-        alloc.allocate(1, 5)
-        with pytest.raises(AllocationError):
-            alloc.allocate(2, 4)
-
-    def test_double_allocation_rejected(self):
-        alloc = CoreAllocator(8)
-        alloc.allocate(1, 2)
-        with pytest.raises(AllocationError):
-            alloc.allocate(1, 2)
-
-    def test_grow(self):
-        alloc = CoreAllocator(8)
-        alloc.allocate(1, 2)
-        alloc.grow(1, 3)
-        assert alloc.held_by(1) == 5
-
-    def test_grow_unknown_holder_rejected(self):
-        alloc = CoreAllocator(8)
-        with pytest.raises(AllocationError):
-            alloc.grow(1, 1)
-
-    def test_release_unknown_holder_rejected(self):
-        alloc = CoreAllocator(8)
-        with pytest.raises(AllocationError):
-            alloc.release(7)
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            CoreAllocator(0)
-
-    @given(st.lists(st.tuples(st.sampled_from(["alloc", "grow", "release"]),
-                              st.integers(1, 5), st.integers(1, 16)),
-                    max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_invariant_never_exceeds_total(self, ops):
-        alloc = CoreAllocator(16)
-        for op, holder, cores in ops:
-            try:
-                if op == "alloc":
-                    alloc.allocate(holder, cores)
-                elif op == "grow":
-                    alloc.grow(holder, cores)
-                else:
-                    alloc.release(holder)
-            except AllocationError:
-                pass
-            assert 0 <= alloc.used <= 16
-            assert alloc.available == 16 - alloc.used
+_DUO = WorkloadSpec(name="duo", entries=(("mobilenet_v2", 1.0),
+                                         ("googlenet", 1.0)))
 
 
 class _WholeModelScheduler:
@@ -79,12 +25,19 @@ class _WholeModelScheduler:
 
     def schedule(self, engine):
         for queue in (engine.ready, engine.waiting):
-            while queue and engine.allocator.available >= self.cores:
+            while queue and engine.available_cores >= self.cores:
                 query = queue.popleft()
                 profile = self.stack.profiles[query.model.name]
                 engine.start_block(
                     query, len(query.model.layers), self.cores,
                     profile.static_versions)
+
+
+class _NeverStarts:
+    """A policy that starts nothing: queued work can only deadlock."""
+
+    def schedule(self, engine):
+        return
 
 
 class TestBlockDuration:
@@ -151,7 +104,7 @@ class TestEngine:
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 50, 5)
         engine = Engine(resnet_stack.cost_model)
         done = engine.run(queries, _WholeModelScheduler(resnet_stack, 16))
-        assert engine.allocator.used == 0
+        assert engine.cores_used == 0
         assert engine.metrics.max_cores_used <= resnet_stack.cpu.cores
         assert engine.metrics.usage_core_seconds > 0
         for query in done:
@@ -201,14 +154,25 @@ class TestEngine:
             _ = queries[0].latency_s
 
     def test_deadlock_detected(self, resnet_stack):
-        class NeverStarts:
-            def schedule(self, engine):
-                return
-
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
         engine = Engine(resnet_stack.cost_model)
         with pytest.raises(RuntimeError, match="deadlock"):
-            engine.run(queries, NeverStarts())
+            engine.run(queries, _NeverStarts())
+
+    def test_deadlock_detected_behind_stale_batch_timer(self, light_stack):
+        """A batch group that closed early leaves a stale max-wait timer.
+
+        Two arrivals fill a ``max_batch=2`` group, so the fused query
+        waits while the group's timer is superseded.  The guard used to
+        count that timer as future work and the run returned with the
+        query still queued.
+        """
+        queries = uniform_queries(light_stack.compiled, "mobilenet_v2",
+                                  1000, 2)
+        engine = Engine(light_stack.cost_model,
+                        batching=BatchPolicy(max_batch=2, max_wait_s=0.01))
+        with pytest.raises(RuntimeError, match="deadlock"):
+            engine.run(queries, _NeverStarts())
 
     def test_deadlock_detected_behind_stale_events(self, resnet_stack):
         """The guard must not be fooled by a heap of stale events.
@@ -241,6 +205,71 @@ class TestEngine:
         engine = Engine(resnet_stack.cost_model)
         with pytest.raises(RuntimeError, match="deadlock"):
             engine.run(queries, StartsOnlyFirst(resnet_stack))
+
+
+class TestCoreLedger:
+    """The running blocks are the core ledger: ``cores_used`` is the sum
+    of their grants, and a grant must fit the free cores."""
+
+    def test_over_grant_rejected_without_change(self, resnet_stack):
+        engine = Engine(resnet_stack.cost_model)
+        task_id = _start_one_block(resnet_stack, engine, cores=60,
+                                   desired=64)
+        assert engine.cores_used == 60
+        assert engine.available_cores == resnet_stack.cpu.cores - 60
+        for cores in (engine.available_cores + 1, 0):
+            with pytest.raises(ValueError):
+                _start_one_block(resnet_stack, engine, cores=cores)
+            assert engine.cores_used == 60
+        with pytest.raises(ValueError):
+            engine.grow_block(task_id, engine.available_cores + 1)
+        assert engine.cores_used == 60
+        assert engine.running[task_id].cores == 60
+        assert list(engine.running) == [task_id]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_ledger_matches_running_blocks(self, light_stack, seed):
+        """A random policy: grants up to the free cores, random grows."""
+        rng = random.Random(seed)
+        cores = light_stack.cpu.cores
+        samples = []
+
+        class RandomGrants:
+            def schedule(self, engine):
+                for block in list(engine.running.values()):
+                    deficit = block.desired_cores - block.cores
+                    free = engine.available_cores
+                    if deficit > 0 and free > 0 and rng.random() < 0.5:
+                        engine.grow_block(block.task_id,
+                                          rng.randint(1, min(deficit, free)))
+                for queue in (engine.ready, engine.waiting):
+                    while (queue and engine.available_cores > 0
+                           and (not engine.running or rng.random() < 0.7)):
+                        query = queue.popleft()
+                        stop = rng.randint(query.next_layer + 1,
+                                           len(query.model.layers))
+                        grant = rng.randint(1, engine.available_cores)
+                        profile = light_stack.profiles[query.model.name]
+                        engine.start_block(
+                            query, stop, grant,
+                            profile.static_versions[query.next_layer:stop],
+                            desired_cores=grant + rng.randint(0, 16))
+                samples.append((engine.cores_used, sum(
+                    b.cores for b in engine.running.values())))
+
+        queries = poisson_queries(light_stack.compiled, _DUO, 400, 12,
+                                  seed=seed % 1000)
+        engine = Engine(light_stack.cost_model)
+        done = engine.run(queries, RandomGrants())
+        assert len(done) == 12
+        for used, held in samples:
+            assert used == held
+            assert 0 <= used <= cores
+        assert engine.cores_used == 0
+        metrics = engine.metrics
+        assert metrics.usage_core_seconds <= (
+            cores * metrics.span_s * (1 + 1e-9))
 
 
 def _start_one_block(stack, engine, cores=8, desired=None):

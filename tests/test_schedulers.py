@@ -32,7 +32,7 @@ class TestAllPoliciesServeLowLoad:
     def test_low_load_all_queries_complete(self, resnet_stack, policy):
         done, engine = _serve(resnet_stack, policy, qps=30, count=25)
         assert len(done) == 25
-        assert engine.allocator.used == 0
+        assert engine.cores_used == 0
 
 
 class TestModelWiseFcfs:
