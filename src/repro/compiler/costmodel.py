@@ -31,6 +31,18 @@ function calibrated to the paper's measurements (Fig. 1b, Fig. 6a):
 All latencies are seconds; ``interference`` is the system pressure level
 in ``[0, 1]`` (paper Sec. 4.3 "interference pressure level").
 
+**Profiled once, priced in closed form.**  Only the contention step
+reads the interference level, so the isolated half — the roofline,
+the hot set, ``k`` (the bracket above) and the LLC-served re-read
+bytes — is computed once per (layer signature, schedule, cores) and
+memoised.  Each new interference level then costs
+``slowdown = 1 + I * k``, ``total = iso * slowdown`` and
+``dram = compulsory + I * vuln_cache * reuse_bytes``, in the same
+operation order as a from-scratch computation, so every float is
+bit-identical to one.  A second memo per (signature, schedule, cores,
+interference) sits in front and returns the identical breakdown on a
+repeat call.
+
 **Device kinds.**  The model binds to any
 :class:`~repro.hardware.platform.DeviceSpec`.  The CPU path is the
 calibrated original, bit-for-bit: every constant a CPU execution reads
@@ -50,16 +62,20 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import CACHE_LINE_BYTES, FP32_BYTES
 from repro.hardware.platform import CpuSpec, DeviceSpec
 from repro.models.layers import LayerSpec
 from repro.compiler.schedule import Schedule, num_tiles
 
-#: Bound of :attr:`CostModel._memo`.  A miss on a full memo drops its
+#: Bound of each of the cost model's two memos: breakdowns per
+#: interference level (:attr:`CostModel._memo`) and isolated runs
+#: (:attr:`CostModel._isolated`).  A miss on a full memo drops its
 #: oldest eighth, as :class:`~repro.runtime.pricing.PricingCache` does.
-#: The key holds the exact clamped interference, so an entry is a pure
-#: function of its key and eviction never changes a result.
+#: Every key is complete (the breakdown's holds the exact clamped
+#: interference), so an entry is a pure function of its key and
+#: eviction never changes a result.
 MEMO_ENTRIES = 1 << 18
 
 
@@ -158,16 +174,34 @@ def first_fit_cores(duration: Callable[[int], float], budget_s: float,
     return None
 
 
-@dataclass(frozen=True)
-class _Profile:
-    """Schedule-derived quantities shared by latency and counter math."""
+class _Isolated(NamedTuple):
+    """The interference-free half of one (layer, schedule, cores) run.
+
+    Everything :meth:`CostModel.execution` needs besides the
+    interference level, so contention is priced from it in closed form.
+    """
 
     cores_used: int
-    chunks: int
     compute_s: float
+    mem_s: float
+    iso_s: float
     compulsory: float
-    beyond_l2: float
+    llc_bytes: float
     hot_bytes: float
+    #: ``k`` of ``slowdown = 1 + I * k`` (see the module docstring).
+    contention: float
+    vuln_cache: float
+    #: LLC-served re-read bytes, ``llc_bytes - compulsory``.
+    reuse_bytes: float
+
+
+def _remember(memo: dict, key: tuple, value) -> None:
+    """Store ``value``; a full memo first drops its oldest eighth."""
+    if len(memo) >= MEMO_ENTRIES:
+        drop = max(1, MEMO_ENTRIES // 8)
+        for stale in list(itertools.islice(iter(memo), drop)):
+            del memo[stale]
+    memo[key] = value
 
 
 class CostModel:
@@ -186,8 +220,11 @@ class CostModel:
         self.cpu = cpu
         self.kind = getattr(cpu, "kind", "cpu")
         self.params = params or CostModelParams()
-        #: Execution memo, bounded by :data:`MEMO_ENTRIES`.
+        #: Execution memo per (signature, schedule, cores, interference)
+        #: and isolated-run memo per (signature, schedule, cores), each
+        #: bounded by :data:`MEMO_ENTRIES`.
         self._memo: dict[tuple, CostBreakdown] = {}
+        self._isolated: dict[tuple, _Isolated] = {}
         self._accel = self.kind == "accelerator"
         p = self.params
         if self._accel:
@@ -277,10 +314,15 @@ class CostModel:
                 tile_k)
 
     def _profile(self, layer: LayerSpec, schedule: Schedule,
-                 cores: int) -> _Profile:
+                 cores: int) -> _Isolated:
+        """Price one run without interference (no memo: see
+        :meth:`_isolated_run`).  The schedule is clipped to legality."""
+        p = self.params
+        cpu = self.cpu
         gemm = layer.gemm
+        schedule = schedule.clipped_to(gemm)
         chunks = min(schedule.parallel_chunks, num_tiles(gemm, schedule))
-        cores_used = max(1, min(cores, chunks, self.cpu.cores))
+        cores_used = max(1, min(cores, chunks, cpu.cores))
 
         rate = self._per_core_rate(layer, schedule)
         rounds = math.ceil(chunks / cores_used)
@@ -293,8 +335,8 @@ class CostModel:
             # hide latency, so kernels exposing few parallel chunks per
             # SM run well below peak — the batch-friendly throughput
             # curve that makes skinny low-batch layers a poor fit.
-            occ = min(1.0, chunks / (cores_used * self.cpu.occupancy_ramp))
-            floor = self.cpu.min_occupancy_rate
+            occ = min(1.0, chunks / (cores_used * cpu.occupancy_ramp))
+            floor = cpu.min_occupancy_rate
             compute_s /= floor + (1.0 - floor) * occ
 
         compulsory = float(layer.data_bytes)
@@ -315,9 +357,48 @@ class CostModel:
                             + schedule.tile_k * schedule.tile_n
                             + tile_m3 * schedule.tile_n)
         hot = min(float(hot), compulsory)
-        return _Profile(cores_used=cores_used, chunks=chunks,
-                        compute_s=compute_s, compulsory=compulsory,
-                        beyond_l2=beyond_l2, hot_bytes=hot)
+
+        # --- isolated memory time ---------------------------------------
+        # In isolation the LLC serves all re-read traffic (single-layer hot
+        # sets fit a 256 MB LLC), so DRAM sees compulsory traffic only.
+        bw = (cpu.dram.bandwidth_bytes_per_s
+              * min(1.0, cores_used / self._dram_saturation))
+        bandwidth_s = compulsory / bw
+        mlp = min(cores_used * self._mlp_per_unit, self._max_mlp)
+        latency_s = ((compulsory / CACHE_LINE_BYTES)
+                     * p.miss_latency_s / mlp)
+        dram_s = max(bandwidth_s, latency_s)
+        llc_bw = (cpu.llc.bandwidth_bytes_per_s
+                  * max(cores_used / cpu.cores, 1.0 / 16.0))
+        llc_s = beyond_l2 / llc_bw
+        mem_s = max(dram_s, llc_s)
+
+        iso_s = (max(compute_s, mem_s)
+                 + p.overlap_slack * min(compute_s, mem_s))
+
+        # --- contention coefficient ---------------------------------------
+        reuse_fraction = max(0.0, (beyond_l2 - compulsory) / beyond_l2)
+        vuln_cache = min(1.0, hot / self._cache_vuln_ref)
+        mem_fraction = mem_s / (mem_s + compute_s)
+        defense = self._bw_defense_max * math.sqrt(cores_used / cpu.cores)
+        contention = (
+            self._cache_sensitivity * vuln_cache * reuse_fraction
+            + self._bw_sensitivity * mem_fraction * (1.0 - defense))
+        return _Isolated(
+            cores_used=cores_used, compute_s=compute_s, mem_s=mem_s,
+            iso_s=iso_s, compulsory=compulsory, llc_bytes=beyond_l2,
+            hot_bytes=hot, contention=contention, vuln_cache=vuln_cache,
+            reuse_bytes=beyond_l2 - compulsory)
+
+    def _isolated_run(self, layer: LayerSpec, schedule: Schedule,
+                      cores: int, signature: tuple) -> _Isolated:
+        """:meth:`_profile`, computed once per (layer, schedule, cores)."""
+        key = (signature, schedule, cores)
+        record = self._isolated.get(key)
+        if record is None:
+            record = self._profile(layer, schedule, cores)
+            _remember(self._isolated, key, record)
+        return record
 
     # ------------------------------------------------------------------
     # main entry points
@@ -334,73 +415,37 @@ class CostModel:
         cores:
             Cores granted by the scheduler (>= 1).
         interference:
-            System pressure in [0, 1] caused by co-runners.
+            System pressure caused by co-runners, clamped to [0, 1];
+            NaN raises ``ValueError``.
         """
         if cores < 1:
             raise ValueError("cores must be >= 1")
-        interference = min(1.0, max(0.0, interference))
-        key = (layer.signature, schedule, cores, interference)
+        if not 0.0 <= interference <= 1.0:
+            if math.isnan(interference):
+                raise ValueError("interference must not be NaN")
+            interference = min(1.0, max(0.0, interference))
+        signature = layer.signature
+        key = (signature, schedule, cores, interference)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
 
-        p = self.params
-        cpu = self.cpu
-        schedule = schedule.clipped_to(layer.gemm)
-        prof = self._profile(layer, schedule, cores)
-        cores_used = prof.cores_used
-
-        # --- isolated memory time ---------------------------------------
-        # In isolation the LLC serves all re-read traffic (single-layer hot
-        # sets fit a 256 MB LLC), so DRAM sees compulsory traffic only.
-        bw = (cpu.dram.bandwidth_bytes_per_s
-              * min(1.0, cores_used / self._dram_saturation))
-        bandwidth_s = prof.compulsory / bw
-        mlp = min(cores_used * self._mlp_per_unit, self._max_mlp)
-        latency_s = ((prof.compulsory / CACHE_LINE_BYTES)
-                     * p.miss_latency_s / mlp)
-        dram_s = max(bandwidth_s, latency_s)
-        llc_bw = (cpu.llc.bandwidth_bytes_per_s
-                  * max(cores_used / cpu.cores, 1.0 / 16.0))
-        llc_s = prof.beyond_l2 / llc_bw
-        mem_s = max(dram_s, llc_s)
-
-        iso_s = (max(prof.compute_s, mem_s)
-                 + p.overlap_slack * min(prof.compute_s, mem_s))
-
+        run = self._isolated_run(layer, schedule, cores, signature)
         # --- contention scaling -------------------------------------------
-        reuse_fraction = max(0.0, (prof.beyond_l2 - prof.compulsory)
-                             / prof.beyond_l2)
-        vuln_cache = min(1.0, prof.hot_bytes / self._cache_vuln_ref)
-        mem_fraction = mem_s / (mem_s + prof.compute_s)
-        defense = self._bw_defense_max * math.sqrt(cores_used / cpu.cores)
-        slowdown = 1.0 + interference * (
-            self._cache_sensitivity * vuln_cache * reuse_fraction
-            + self._bw_sensitivity * mem_fraction * (1.0 - defense))
-        total_s = iso_s * slowdown
-
-        # --- counter-visible traffic -----------------------------------------
-        # Contention converts LLC-served re-reads into DRAM misses.
-        spilled = (interference * vuln_cache
-                   * (prof.beyond_l2 - prof.compulsory))
-        dram_bytes = prof.compulsory + spilled
-
+        slowdown = 1.0 + interference * run.contention
         result = CostBreakdown(
-            total_s=total_s,
-            compute_s=prof.compute_s,
-            mem_s=mem_s,
-            cores_used=cores_used,
-            dram_bytes=dram_bytes,
-            llc_bytes=prof.beyond_l2,
+            total_s=run.iso_s * slowdown,
+            compute_s=run.compute_s,
+            mem_s=run.mem_s,
+            cores_used=run.cores_used,
+            # Contention converts LLC-served re-reads into DRAM misses.
+            dram_bytes=(run.compulsory
+                        + interference * run.vuln_cache * run.reuse_bytes),
+            llc_bytes=run.llc_bytes,
             flops=layer.flops,
             slowdown=slowdown,
         )
-        memo = self._memo
-        if len(memo) >= MEMO_ENTRIES:
-            drop = max(1, MEMO_ENTRIES // 8)
-            for stale in list(itertools.islice(iter(memo), drop)):
-                del memo[stale]
-        memo[key] = result
+        _remember(self._memo, key, result)
         return result
 
     def latency(self, layer: LayerSpec, schedule: Schedule, cores: int,
@@ -448,9 +493,8 @@ class CostModel:
     def llc_occupancy(self, layer: LayerSpec, schedule: Schedule,
                       cores: int) -> float:
         """Bytes of shared LLC the execution keeps live."""
-        schedule = schedule.clipped_to(layer.gemm)
-        prof = self._profile(layer, schedule, cores)
-        return min(prof.hot_bytes, self.cpu.llc.capacity_bytes / 2.0)
+        run = self._isolated_run(layer, schedule, cores, layer.signature)
+        return min(run.hot_bytes, self.cpu.llc.capacity_bytes / 2.0)
 
     def bandwidth_demand(self, layer: LayerSpec, schedule: Schedule,
                          cores: int) -> float:

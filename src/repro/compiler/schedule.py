@@ -15,7 +15,7 @@ The two scalar metrics of paper Sec. 4.1 are exposed directly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import FP32_BYTES
 from repro.models.layers import GemmShape
@@ -24,10 +24,9 @@ from repro.models.layers import GemmShape
 DEFAULT_VECTOR_LANES = 8
 
 
-@dataclass(frozen=True, order=True)
-class Schedule:
-    """One concrete code version for a layer's implicit GEMM."""
-
+class _ScheduleFields(NamedTuple):
+    # A NamedTuple body cannot override ``__new__``, so the validating
+    # constructor lives on the subclass.
     tile_m: int
     tile_n: int
     tile_k: int
@@ -35,10 +34,28 @@ class Schedule:
     unroll: int = 4
     vector_lanes: int = DEFAULT_VECTOR_LANES
 
-    def __post_init__(self) -> None:
-        if min(self.tile_m, self.tile_n, self.tile_k,
-               self.parallel_chunks, self.unroll, self.vector_lanes) <= 0:
+
+class Schedule(_ScheduleFields):
+    """One concrete code version for a layer's implicit GEMM.
+
+    A tuple-backed record, so hashing and equality run in C on every
+    pricing, plan and cost-model key that holds a version; ``hash(s)``
+    is the hash of its field tuple.  Every field must be positive, and
+    every way of making one checks it: the constructor, ``_make``,
+    ``_replace`` (which goes through ``_make``) and unpickling.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Schedule":
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) <= 0:
             raise ValueError(f"schedule fields must be positive: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Schedule":
+        return cls(*iterable)
 
     # -- paper metrics -------------------------------------------------------
 

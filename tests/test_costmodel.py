@@ -1,11 +1,16 @@
 """Cost model tests: the paper's performance phenomena as invariants."""
 
+import math
+import struct
+import zlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import make_rng
-from repro.hardware.platform import THREADRIPPER_3990X
+from repro.hardware.platform import DATACENTER_ACCEL_80, THREADRIPPER_3990X
 from repro.models.layers import Conv2D, Pool
 from repro.compiler.costmodel import CostModel, CostModelParams
 from repro.compiler.schedule import Schedule
@@ -40,6 +45,11 @@ class TestBasicProperties:
         capped = model.latency(conv_layer, schedule, 16, 1.0)
         assert low == base
         assert high == capped
+
+    def test_nan_interference_raises(self, model, conv_layer, schedule):
+        """NaN must not clamp to 0.0 and price as an idle machine."""
+        with pytest.raises(ValueError, match="NaN"):
+            model.execution(conv_layer, schedule, 16, math.nan)
 
     def test_memoization_returns_identical(self, model, conv_layer,
                                            schedule):
@@ -186,6 +196,10 @@ class TestOverheads:
         assert model.params.cache_sensitivity == 2.0
 
 
+DUO = WorkloadSpec(name="duo", entries=(("mobilenet_v2", 1.0),
+                                        ("googlenet", 1.0)))
+
+
 class TestMemo:
     def test_result_independent_of_call_history(self, conv_layer):
         """A near-equal earlier interference must not serve its result."""
@@ -198,10 +212,8 @@ class TestMemo:
 
     def test_bounded_memo_changes_no_outcome(self, light_stack,
                                              monkeypatch):
-        """A capped memo evicts, stays under its cap, and the engine's
-        pricing through it finishes every query at the same instant."""
-        duo = WorkloadSpec(name="duo", entries=(("mobilenet_v2", 1.0),
-                                                ("googlenet", 1.0)))
+        """Capped memos evict, stay under their cap, and the engine's
+        pricing through them finishes every query at the same instant."""
 
         def serve():
             model = CostModel(light_stack.cpu, light_stack.cost_model.params)
@@ -211,17 +223,123 @@ class TestMemo:
             class Sampled:
                 def schedule(self, engine):
                     policy.schedule(engine)
-                    sizes.append(len(model._memo))
+                    sizes.append((len(model._memo), len(model._isolated)))
 
-            queries = poisson_queries(light_stack.compiled, duo, 400, 60,
+            queries = poisson_queries(light_stack.compiled, DUO, 400, 60,
                                       seed=5)
             done = Engine(model).run(queries, Sampled())
             outcome = [(q.query_id, q.finished_s) for q in done]
-            return outcome, len(model._memo), max(sizes)
+            final = (len(model._memo), len(model._isolated))
+            return outcome, final, sizes + [final]
 
         unbounded, entries, _ = serve()
         monkeypatch.setattr("repro.compiler.costmodel.MEMO_ENTRIES", 64)
-        bounded, capped, peak = serve()
-        assert entries > 64
-        assert max(capped, peak) <= 64
+        bounded, _, sizes = serve()
+        assert min(entries) > 64
+        assert max(max(pair) for pair in sizes) <= 64
         assert bounded == unbounded
+
+    def test_each_isolated_run_profiled_once(self, light_stack):
+        """A veltair_full serve profiles each (signature, schedule,
+        cores) once, ``llc_occupancy`` included, and prices every other
+        interference level from that record in closed form."""
+        model = CostModel(light_stack.cpu, light_stack.cost_model.params)
+        profiled = Counter()
+        occupancy_keys = set()
+        profile = model._profile
+        occupancy = model.llc_occupancy
+
+        def counting_profile(layer, schedule, cores):
+            profiled[(layer.signature, schedule, cores)] += 1
+            return profile(layer, schedule, cores)
+
+        def counting_occupancy(layer, schedule, cores):
+            occupancy_keys.add((layer.signature, schedule, cores))
+            return occupancy(layer, schedule, cores)
+
+        model._profile = counting_profile
+        model.llc_occupancy = counting_occupancy
+        queries = poisson_queries(light_stack.compiled, DUO, 400, 60,
+                                  seed=5)
+        policy = light_stack.make_scheduler("veltair_full")
+        done = Engine(model).run(queries, policy)
+        assert len(done) == 60
+        assert occupancy_keys
+        assert occupancy_keys <= set(profiled)
+        assert max(profiled.values()) == 1
+        assert len(profiled) < len(model._memo)
+
+
+#: Schedules of :class:`TestExecutionPins`: a minimal one, two typical
+#: ones and one every layer clips.
+PIN_SCHEDULES = (
+    Schedule(tile_m=1, tile_n=1, tile_k=1, parallel_chunks=1, unroll=1,
+             vector_lanes=4),
+    Schedule(tile_m=32, tile_n=64, tile_k=128, parallel_chunks=16),
+    Schedule(tile_m=49, tile_n=256, tile_k=512, parallel_chunks=64,
+             unroll=8, vector_lanes=16),
+    Schedule(tile_m=4096, tile_n=4096, tile_k=4096, parallel_chunks=4096,
+             unroll=16),
+)
+PIN_CORES = (1, 3, 8, 64)
+PIN_INTERFERENCE = (0.0, 0.05, 0.35, 1.0, 1.7)
+
+
+def _pin_digest(cpu, layers, descending: bool) -> int:
+    """crc32 over every breakdown field, the LLC occupancy and the
+    pressure contribution of each pinned run, packed as doubles.
+
+    A fresh model makes the calls of each (layer, schedule, cores) in
+    ascending or descending order; the digest reads them back in one
+    fixed order, so both orders must give the same value.
+    """
+    model = CostModel(cpu)
+    values = {}
+    for li, layer in enumerate(layers):
+        for si, schedule in enumerate(PIN_SCHEDULES):
+            for cores in PIN_CORES:
+                calls = [("occupancy", None), ("pressure", None)]
+                calls += [("execution", i) for i in PIN_INTERFERENCE]
+                for kind, level in (calls[::-1] if descending else calls):
+                    if kind == "occupancy":
+                        value = (model.llc_occupancy(layer, schedule, cores),)
+                    elif kind == "pressure":
+                        value = (model.pressure_contribution(
+                            layer, schedule, cores),)
+                    else:
+                        exe = model.execution(layer, schedule, cores, level)
+                        value = (exe.total_s, exe.compute_s, exe.mem_s,
+                                 exe.cores_used, exe.dram_bytes,
+                                 exe.llc_bytes, exe.flops, exe.slowdown)
+                    values[(li, si, cores, kind, level)] = value
+    crc = 0
+    for li in range(len(layers)):
+        for si in range(len(PIN_SCHEDULES)):
+            for cores in PIN_CORES:
+                rows = [values[(li, si, cores, "execution", i)]
+                        for i in PIN_INTERFERENCE]
+                rows.append(values[(li, si, cores, "occupancy", None)])
+                rows.append(values[(li, si, cores, "pressure", None)])
+                for row in rows:
+                    crc = zlib.crc32(struct.pack(f"<{len(row)}d", *row), crc)
+    return crc
+
+
+class TestExecutionPins:
+    """Bit-identity pins of the cost model's own outputs.
+
+    Every ``small_layers`` layer x :data:`PIN_SCHEDULES` x
+    :data:`PIN_CORES` x :data:`PIN_INTERFERENCE` (1.7 clamps to 1.0),
+    on a CPU and an accelerator.  The constants were recorded before
+    interference was priced in closed form over a once-computed
+    isolated run; they must not move.
+    """
+
+    @pytest.mark.parametrize("descending", [False, True],
+                             ids=["ascending", "descending"])
+    @pytest.mark.parametrize("cpu, pin",
+                             [(THREADRIPPER_3990X, 0x5783798A),
+                              (DATACENTER_ACCEL_80, 0xF99D1A86)],
+                             ids=["cpu", "accelerator"])
+    def test_outputs_pinned(self, cpu, pin, descending, small_layers):
+        assert _pin_digest(cpu, small_layers, descending) == pin

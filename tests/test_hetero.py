@@ -111,7 +111,7 @@ class TestAcceleratorCostModel:
         # peak than the CPU's imbalance math alone would predict.
         narrow = Schedule(tile_m=64, tile_n=64, tile_k=64,
                           parallel_chunks=1, unroll=4, vector_lanes=8)
-        wide = dataclasses.replace(narrow, parallel_chunks=256)
+        wide = narrow._replace(parallel_chunks=256)
         slow = accel_model.latency(wide_layer, narrow, 1)
         fast = accel_model.latency(wide_layer, wide, 64)
         assert fast < slow

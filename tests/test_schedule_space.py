@@ -1,5 +1,7 @@
 """Schedule, schedule-space, and traffic-math tests (incl. hypothesis)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,49 @@ class TestSchedule:
     def test_rejects_non_positive_fields(self):
         with pytest.raises(ValueError):
             Schedule(tile_m=0, tile_n=1, tile_k=1, parallel_chunks=1)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        """Every dict and set order over versions stays what it was."""
+        s = Schedule(tile_m=32, tile_n=64, tile_k=128, parallel_chunks=16)
+        fields = (32, 64, 128, 16, 4, 8)
+        assert tuple(s) == fields
+        # repro: ignore[no-salted-hash] -- int tuples hash unsalted; the pin is the identity
+        assert hash(s) == hash(fields)
+
+    def test_equality_ordering_and_repr(self):
+        s = Schedule(tile_m=32, tile_n=64, tile_k=128, parallel_chunks=16)
+        assert s == Schedule(32, 64, 128, 16, unroll=4, vector_lanes=8)
+        assert s != s._replace(unroll=8)
+        assert (s._replace(tile_n=1) < s < s._replace(tile_n=65)
+                < s._replace(tile_m=33, tile_n=1))
+        wider = s._replace(tile_n=65)
+        assert sorted([wider, s]) == [s, wider]
+        assert repr(s) == ("Schedule(tile_m=32, tile_n=64, tile_k=128, "
+                           "parallel_chunks=16, unroll=4, vector_lanes=8)")
+
+    def test_pickle_round_trip(self):
+        """The compile fork pool ships schedules between processes."""
+        s = Schedule(tile_m=7, tile_n=9, tile_k=11, parallel_chunks=3,
+                     unroll=2, vector_lanes=16)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s
+        assert type(back) is Schedule
+
+    def test_immutable(self):
+        s = Schedule(tile_m=1, tile_n=1, tile_k=1, parallel_chunks=1)
+        with pytest.raises(AttributeError):
+            s.tile_m = 2
+        with pytest.raises(AttributeError):
+            s.extra = 1
+
+    def test_replace_and_make_validate(self):
+        s = Schedule(tile_m=1, tile_n=1, tile_k=1, parallel_chunks=1)
+        assert s._replace(parallel_chunks=4).parallel_chunks == 4
+        assert Schedule._make((2, 2, 2, 2, 2, 2)) == (2,) * 6
+        with pytest.raises(ValueError):
+            s._replace(parallel_chunks=0)
+        with pytest.raises(ValueError):
+            Schedule._make((1, 1, 1, 1, 1, -8))
 
     def test_paper_metrics(self):
         s = Schedule(tile_m=32, tile_n=64, tile_k=128, parallel_chunks=16,
