@@ -493,6 +493,8 @@ class CostModel:
     def llc_occupancy(self, layer: LayerSpec, schedule: Schedule,
                       cores: int) -> float:
         """Bytes of shared LLC the execution keeps live."""
+        if cores < 1:
+            raise ValueError("cores must be >= 1")
         run = self._isolated_run(layer, schedule, cores, layer.signature)
         return min(run.hot_bytes, self.cpu.llc.capacity_bytes / 2.0)
 

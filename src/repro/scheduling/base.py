@@ -5,16 +5,17 @@ the paper's schedulers rely on: per-layer latency budgets, per-layer
 minimal core requirements (under the static code version), and the
 model-granularity average core count ``Avg_C`` used by Alg. 2/3.  The
 profile is also the device's plan table for its model: each layer's code
-version and core demand per pressure level, and block demands, built on
-first use into one bounded memo and read by every run, node and policy
-that shares the profile (paper Sec. 4.1–4.3: versions and demands come
-from tables profiled offline).
+version and core demand per pressure level, and every policy's whole
+block plans, built on first use into one bounded memo and read by every
+run, node and policy that shares the profile (paper Sec. 4.1–4.3:
+versions and demands come from tables profiled offline).
 
 :class:`SpatialScheduler` implements the shared dispatch mechanics (FCFS
 over continuing-then-new queries, conflict accounting, grow-on-free); the
 concrete policies only decide the next block boundary, its core demand,
 and the code versions — which is exactly the design split of paper Fig. 8.
-Schedulers hold no caches: what they size, they read from the profile.
+Schedulers hold no caches: a dispatch is one read of the profile's plan
+memo, under a key that holds every input the plan reads.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ class ModelProfile:
 
     The fields are the static-version view :func:`build_profile` fills
     in.  The methods are the plan table: per-pressure version and demand
-    rows, other batches' profiles and block demands, each built on first
-    use into :attr:`plan_memo`.  Every key is complete for this profile
-    (the compiled model, cost model and batch are fixed), so one table
-    serves every scheduler that reads the profile.
+    rows, other batches' profiles and the policies' block plans, each
+    built on first use into :attr:`plan_memo`.  Every key is complete for
+    this profile (the compiled model, cost model and batch are fixed), so
+    one table serves every scheduler that reads the profile.
     """
 
     compiled: CompiledModel
@@ -71,12 +72,12 @@ class ModelProfile:
         """This model's profile at ``batch`` (``self`` at its own)."""
         if batch == self.batch:
             return self
-        return self._memoized(("batch", batch), lambda: build_profile(
+        return self.memoized(("batch", batch), lambda: build_profile(
             self.cost_model, self.compiled, batch))
 
     def versions_at(self, pressure: float) -> tuple[Schedule, ...]:
         """Each layer's code version at ``pressure``."""
-        return self._memoized(("versions", pressure), lambda: tuple(
+        return self.memoized(("versions", pressure), lambda: tuple(
             entry.version_for(pressure) for entry in self.compiled.layers))
 
     def cores_at(self, pressure: float) -> tuple[int, ...]:
@@ -86,7 +87,7 @@ class ModelProfile:
         layer meets the batch-scaled budget, a known defect that
         ``TestBatchedLayerSizing`` pins."""
         model = self.cost_model
-        return self._memoized(("cores", pressure), lambda: tuple(
+        return self.memoized(("cores", pressure), lambda: tuple(
             model.required_cores(layer, version,
                                  max(budget - model.launch_s, 1e-7),
                                  pressure) or model.cpu.cores
@@ -99,15 +100,19 @@ class ModelProfile:
         """Cores for layers ``[start, stop)`` as one block under their
         :meth:`versions_at` versions (see :func:`block_required_cores`).
         Static-version policies size at pressure 0, whose version row is
-        :attr:`static_versions` (the first calibration level is 0)."""
-        return self._memoized(
-            ("block", start, stop, budget_s, pressure, cap),
-            lambda: block_required_cores(
-                self.cost_model, self.compiled, start, stop,
-                self.versions_at(pressure)[start:stop], budget_s,
-                interference=pressure, cap=cap, batch=self.batch))
+        :attr:`static_versions` (the first calibration level is 0).  Not
+        memoised: policies call it only to build a plan, which the plan
+        memo keeps whole."""
+        return block_required_cores(
+            self.cost_model, self.compiled, start, stop,
+            self.versions_at(pressure)[start:stop], budget_s,
+            interference=pressure, cap=cap, batch=self.batch)
 
-    def _memoized(self, key: tuple, build):
+    def memoized(self, key: tuple, build):
+        """The plan-table entry under ``key``, built by ``build()`` on a
+        miss.  ``key`` must hold every input ``build`` reads beyond this
+        profile, and start with a tag no other kind of entry uses:
+        two builds under one key must give equal values."""
         value = self.plan_memo.get(key)
         if value is None:
             value = build()
@@ -195,10 +200,12 @@ class SpatialScheduler:
 
     Subclasses implement :meth:`plan` — given a query and the engine
     state, return a :class:`BlockPlan` or ``None`` to keep the query
-    queued.  The driver serves continuing queries before new arrivals
-    (a worker finishes its model before taking new work) and FCFS within
-    each queue, and optionally grows conflicted running blocks when cores
-    free up (the paper's conflict-recovery technique).
+    queued.  A plan is one read of the query's profile's plan memo
+    (:meth:`ModelProfile.memoized`), built only on a miss.  The driver
+    serves continuing queries before new arrivals (a worker finishes its
+    model before taking new work) and FCFS within each queue, and
+    optionally grows conflicted running blocks when cores free up (the
+    paper's conflict-recovery technique).
     """
 
     #: Policies that start under-allocated and grow later set this.

@@ -18,6 +18,8 @@ This scheduler with static versions is the VELTAIR-AS configuration.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
@@ -32,43 +34,44 @@ _BUDGET_HEADROOM = 0.8
 class ProportionalThresholdPolicy:
     """Paper Sec. 4.3: distribute idle cores proportionally to ``Avg_C``.
 
-    The threshold only depends on the set of co-located queries and the
-    candidate's model, so results are memoised per engine co-location
-    epoch: within one epoch every same-model candidate reuses the value,
-    and any start/grow/finish bumps the epoch and drops the memo.
+    The threshold depends only on the co-located queries and the
+    candidate's ``Avg_C``, so the policy keeps one sum of the running
+    queries' ``Avg_C`` per engine co-location epoch (any start, grow or
+    finish bumps the epoch) and derives every candidate's threshold from
+    it.  Queries count once by ``query_id`` (a pipeline's stages share
+    their pipeline's id), the candidate replacing a running namesake.
+    The sum is keyed on the engine object itself, held weakly, so a
+    policy serving several engines never reads one engine's sum for
+    another.
     """
 
     def __init__(self) -> None:
-        self._memo_epoch = -1
-        self._memo: dict[str, int] = {}
+        self._engine: weakref.ref[Engine] | None = None
+        self._epoch: int | None = None
+        #: ``Avg_C`` of each running query, by ``query_id``, and their sum.
+        self._running: dict[int, int] = {}
+        self._total = 0
 
     def threshold_for(self, scheduler: "DynamicBlockScheduler",
                       engine: Engine, query: Query) -> int:
-        epoch = engine.colocation_epoch
-        if epoch != self._memo_epoch:
-            self._memo_epoch = epoch
-            self._memo.clear()
-        memo_key = (query.model.name, query.batch)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        value = self._compute(scheduler, engine, query)
-        self._memo[memo_key] = value
-        return value
-
-    def _compute(self, scheduler: "DynamicBlockScheduler",
-                 engine: Engine, query: Query) -> int:
-        profile = scheduler.profile_for(query)
-        active_queries = {block.query.query_id: block.query
-                          for block in engine.running.values()}
-        active_queries[query.query_id] = query
-        averages = [scheduler.profile_for(q).avg_cores
-                    for q in active_queries.values()]
-        total_average = sum(averages)
-        idle = scheduler.cost_model.cpu.cores - total_average
+        if (engine.colocation_epoch != self._epoch
+                or self._engine() is not engine):
+            self._sum_running(scheduler, engine)
+        own = scheduler.profile_for(query).avg_cores
+        total = self._total - self._running.get(query.query_id, 0) + own
+        idle = scheduler.cost_model.cpu.cores - total
         if idle <= 0:
             return 0
-        return int(idle * profile.avg_cores / total_average)
+        return int(idle * own / total)
+
+    def _sum_running(self, scheduler: "DynamicBlockScheduler",
+                     engine: Engine) -> None:
+        self._engine = weakref.ref(engine)
+        self._epoch = engine.colocation_epoch
+        self._running = {
+            block.query.query_id: scheduler.profile_for(block.query).avg_cores
+            for block in engine.running.values()}
+        self._total = sum(self._running.values())
 
 
 class DynamicBlockScheduler(SpatialScheduler):
@@ -76,6 +79,11 @@ class DynamicBlockScheduler(SpatialScheduler):
 
     allow_grow = True
     admit_full_grant_only = True
+    #: Plan-memo tag of the rows :meth:`layer_plan` returns.  The
+    #: pressure-0 rows of two row kinds pivot differently, so a policy
+    #: with other rows needs its own tag, or plans cross-serve between
+    #: policies sharing a profile.
+    rows = "static"
 
     def __init__(self, cost_model, profiles,
                  threshold_policy: ProportionalThresholdPolicy | None = None,
@@ -103,9 +111,14 @@ class DynamicBlockScheduler(SpatialScheduler):
         threshold = self.threshold_policy.threshold_for(self, engine, query)
         cap = min(self.cost_model.cpu.cores,
                   max(1, profile.avg_cores + threshold))
-
-        versions, demands = self.layer_plan(profile, pressure)
         start = query.next_layer
+        return profile.memoized(
+            (self.rows, pressure, cap, start),
+            lambda: self._block_plan(profile, pressure, cap, start))
+
+    def _block_plan(self, profile: ModelProfile, pressure: float, cap: int,
+                    start: int) -> BlockPlan:
+        versions, demands = self.layer_plan(profile, pressure)
         stop = find_first_pivot(demands, start, cap)
         budget = sum(profile.layer_budgets_s[start:stop]) * _BUDGET_HEADROOM
         desired = profile.block_cores(start, stop, budget, pressure=pressure,

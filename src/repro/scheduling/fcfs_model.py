@@ -25,6 +25,6 @@ class ModelWiseFcfs(SpatialScheduler):
         need = profile.model_cores
         if engine.available_cores < need:
             return None  # head-of-line wait; not a scheduling conflict
-        return BlockPlan(stop_layer=len(query.model.layers),
-                         desired_cores=need,
-                         versions=profile.static_versions)
+        return profile.memoized(("model",), lambda: BlockPlan(
+            stop_layer=len(profile.compiled.layers), desired_cores=need,
+            versions=profile.static_versions))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
-from repro.scheduling.base import BlockPlan, SpatialScheduler
+from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
 
 
 class FixedBlockScheduler(SpatialScheduler):
@@ -29,7 +29,11 @@ class FixedBlockScheduler(SpatialScheduler):
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         profile = self.profile_for(query)
         start = query.next_layer
-        stop = min(start + self.block_size, len(query.model.layers))
+        return profile.memoized(("fixed", self.block_size, start),
+                                lambda: self._block_plan(profile, start))
+
+    def _block_plan(self, profile: ModelProfile, start: int) -> BlockPlan:
+        stop = min(start + self.block_size, len(profile.compiled.layers))
         desired = profile.block_cores(
             start, stop, sum(profile.layer_budgets_s[start:stop]))
         return BlockPlan(stop_layer=stop, desired_cores=desired,

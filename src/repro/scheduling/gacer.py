@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
-from repro.scheduling.base import BlockPlan, SpatialScheduler
+from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
 
 #: Floor of the concurrency cap: at least one query always runs.
 _MIN_CONCURRENCY = 1
@@ -92,10 +92,13 @@ class GacerScheduler(SpatialScheduler):
             return None  # cap reached; wait for a slot
         profile = self.profile_for(query)
         start = query.next_layer
-        stop = min(start + self.block_layers, len(query.model.layers))
+        return profile.memoized(("gacer", self.concurrency, start),
+                                lambda: self._block_plan(profile, start))
 
+    def _block_plan(self, profile: ModelProfile, start: int) -> BlockPlan:
+        stop = min(start + self.block_layers, len(profile.compiled.layers))
         # An even share of the machine per admitted co-runner.
-        cap = max(1, self.cost_model.cpu.cores // self.concurrency)
+        cap = max(1, profile.cost_model.cpu.cores // self.concurrency)
         budget = sum(profile.layer_budgets_s[start:stop]) * _BUDGET_HEADROOM
         desired = profile.block_cores(start, stop, budget, cap=cap)
         return BlockPlan(stop_layer=stop, desired_cores=desired,

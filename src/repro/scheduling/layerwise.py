@@ -27,9 +27,10 @@ class LayerWiseScheduler(SpatialScheduler):
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         profile = self.profile_for(query)
         index = query.next_layer
-        return BlockPlan(stop_layer=index + 1,
-                         desired_cores=profile.layer_required_cores[index],
-                         versions=(profile.static_versions[index],))
+        return profile.memoized(("layer", index), lambda: BlockPlan(
+            stop_layer=index + 1,
+            desired_cores=profile.layer_required_cores[index],
+            versions=(profile.static_versions[index],)))
 
 
 class AdaptiveCompilationOnly(LayerWiseScheduler):
@@ -57,6 +58,7 @@ class AdaptiveCompilationOnly(LayerWiseScheduler):
         profile = self.profile_for(query)
         index = query.next_layer
         pressure = self.planning_pressure(engine)
-        return BlockPlan(stop_layer=index + 1,
-                         desired_cores=profile.cores_at(pressure)[index],
-                         versions=(profile.versions_at(pressure)[index],))
+        return profile.memoized(("ac", pressure, index), lambda: BlockPlan(
+            stop_layer=index + 1,
+            desired_cores=profile.cores_at(pressure)[index],
+            versions=(profile.versions_at(pressure)[index],)))

@@ -26,6 +26,8 @@ from repro.scheduling.dynamic_block import (
 class VeltairScheduler(DynamicBlockScheduler):
     """Adaptive scheduling + adaptive compilation (VELTAIR-FULL)."""
 
+    rows = "pressure"
+
     def __init__(self, cost_model, profiles,
                  proxy: LinearInterferenceProxy | None = None,
                  threshold_policy: ProportionalThresholdPolicy | None = None,

@@ -70,11 +70,11 @@ class NodeRuntime:
     machine width and device economics), the pricing cache (prices are
     bound to one cost model), and the interference proxy (counter
     magnitudes do not port across specs).  The profiles carry the
-    device's plan table (:class:`ModelProfile`'s memoised version,
-    demand and block rows), kept for the stack's life.  Nodes with the
-    same :class:`DeviceSpec` share one runtime, so a homogeneous fleet
-    shares a single warm pricing cache and plan table.  The field keeps
-    its historical ``cpu`` name.
+    device's plan table (:class:`ModelProfile`'s memoised version and
+    demand rows and block plans), kept for the stack's life.  Nodes with
+    the same :class:`DeviceSpec` share one runtime, so a homogeneous
+    fleet shares a single warm pricing cache and plan table.  The field
+    keeps its historical ``cpu`` name.
     """
 
     cpu: CpuSpec | DeviceSpec
@@ -143,10 +143,12 @@ class _LazyArtifacts(Mapping):
             self._built.update(zip(pending, self._build(pending)))
 
     def __getitem__(self, name: str):
+        built = self._built.get(name)
+        if built is not None:
+            return built  # the hot path: every dispatch looks one up
         if name not in self._known:
             raise KeyError(name)
-        if name not in self._built:
-            self.ensure([name])
+        self.ensure([name])
         return self._built[name]
 
     def __contains__(self, name) -> bool:

@@ -7,6 +7,8 @@ build their own.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.costmodel import CostModel
@@ -66,6 +68,22 @@ def light_stack():
     """Two light models for multi-model serving tests."""
     return ServingStack(models=["mobilenet_v2", "googlenet"], trials=96,
                         proxy_scenarios=60, seed=11)
+
+
+@pytest.fixture()
+def fresh_runtime():
+    """``build(stack)``: the stack's own runtime over freshly built
+    profiles, so its plan table starts empty (the session stacks' tables
+    are warm from earlier tests) under the plan-memo bound in force."""
+    from repro.scheduling.base import build_profile
+
+    def build(stack):
+        profiles = {name: build_profile(stack.cost_model,
+                                        stack.compiled[name])
+                    for name in stack.model_names}
+        return dataclasses.replace(stack.runtime_for(), profiles=profiles,
+                                   fit_proxy=lambda: stack.proxy)
+    return build
 
 
 @pytest.fixture()

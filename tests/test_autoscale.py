@@ -329,34 +329,41 @@ class TestPlanCacheBound:
     results."""
 
     def test_required_cache_bounded_and_results_identical(self, light_stack,
+                                                          fresh_runtime,
                                                           monkeypatch):
         import repro.scheduling.base
         from repro.runtime.engine import Engine
-        from repro.scheduling.base import build_profile
-        from repro.scheduling.veltair import VeltairScheduler
 
-        def serve():
+        def serve(policy):
             # Fresh profiles, so the memo bound in force is the one
             # they are built under.
-            profiles = {name: build_profile(light_stack.cost_model,
-                                            light_stack.compiled[name])
-                        for name, _ in MIX.entries}
+            runtime = fresh_runtime(light_stack)
             queries = scenario_queries(light_stack.compiled, "bursty", 300,
                                        120, seed=4, spec=MIX)
             engine = Engine(light_stack.cost_model,
-                            price_cache=light_stack.price_cache)
-            done = engine.run(queries, VeltairScheduler(
-                light_stack.cost_model, profiles, proxy=None))
-            memos = [profile.plan_memo for profile in profiles.values()]
+                            price_cache=runtime.price_cache)
+            done = engine.run(queries,
+                              light_stack.make_scheduler(policy, runtime))
+            memos = [profile.plan_memo
+                     for profile in runtime.profiles.values()]
             return {q.query_id: q.finished_s for q in done}, memos
 
-        finished_a, memos = serve()
-        assert all(len(memo) > 8 for memo in memos)  # the memo is live
+        # Every policy whose plans the profiles memoise.
+        policies = ("veltair_as", "veltair_full", "veltair_ac", "layerwise",
+                    "block6", "gacer", "model_fcfs")
+        unbounded = {policy: serve(policy) for policy in policies}
+        # The memo is live: every policy but model_fcfs (one plan per
+        # profile) fills more than the cap below.
+        assert all(len(memo) > 8 for policy in policies[:-1]
+                   for memo in unbounded[policy][1])
 
         monkeypatch.setattr(repro.scheduling.base, "PLAN_MEMO_ENTRIES", 8)
-        finished_b, memos = serve()
-        # Steady state: the capped memo never exceeds its bound, and
-        # eviction only forces recomputes — results are bit-identical.
-        assert all(len(memo) <= 8 for memo in memos)
-        assert all(memo.evictions > 0 for memo in memos)
-        assert finished_a == finished_b
+        for policy in policies:
+            finished, memos = serve(policy)
+            # Steady state: the capped memo never exceeds its bound, a
+            # memo that outgrew it evicted, and eviction only forces
+            # recomputes — results are bit-identical.
+            assert finished == unbounded[policy][0], policy
+            for memo, full in zip(memos, unbounded[policy][1]):
+                assert len(memo) <= 8, policy
+                assert (memo.evictions > 0) == (len(full) > 8), policy

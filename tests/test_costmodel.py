@@ -51,6 +51,18 @@ class TestBasicProperties:
         with pytest.raises(ValueError, match="NaN"):
             model.execution(conv_layer, schedule, 16, math.nan)
 
+    def test_llc_occupancy_rejects_non_positive_cores(self, conv_layer,
+                                                      schedule):
+        """Like ``execution``, occupancy needs a core, and a rejected
+        call leaves no isolated-run record behind."""
+        fresh = CostModel(THREADRIPPER_3990X)
+        fresh.llc_occupancy(conv_layer, schedule, 1)
+        keys = set(fresh._isolated)
+        for cores in (0, -3):
+            with pytest.raises(ValueError, match="cores must be >= 1"):
+                fresh.llc_occupancy(conv_layer, schedule, cores)
+        assert set(fresh._isolated) == keys
+
     def test_memoization_returns_identical(self, model, conv_layer,
                                            schedule):
         a = model.execution(conv_layer, schedule, 16, 0.5)

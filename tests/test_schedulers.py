@@ -114,6 +114,35 @@ class TestDynamicBlocks:
         busy_thres = policy.threshold_for(scheduler, engine, queries[0])
         assert busy_thres <= idle_thres
 
+    def test_threshold_is_per_engine(self, light_stack):
+        """One policy serving two engines at the same co-location epoch
+        must not hand one engine's threshold to the other."""
+        scheduler = light_stack.make_scheduler("veltair_as")
+        versions = light_stack.profiles["mobilenet_v2"].static_versions
+        engines = []
+        for starts in (2, 1):
+            engine = Engine(light_stack.cost_model)
+            queries = uniform_queries(light_stack.compiled, "mobilenet_v2",
+                                      10, starts)
+            engine.waiting.extend(queries)
+            for query in queries:
+                engine.start_block(query, len(query.model.layers), 20,
+                                   versions)
+            if starts == 1:
+                engine.grow_block(next(iter(engine.running)), 2)
+            engines.append(engine)
+        # Two starts, or a start and a grow: the same epoch, but two
+        # co-located queries against one.
+        assert [engine.colocation_epoch for engine in engines] == [2, 2]
+        candidate = uniform_queries(light_stack.compiled, "googlenet",
+                                    10, 3)[2]
+        fresh = [ProportionalThresholdPolicy().threshold_for(
+            scheduler, engine, candidate) for engine in engines]
+        assert fresh[0] != fresh[1]  # a cross-served value would show
+        shared = scheduler.threshold_policy
+        assert [shared.threshold_for(scheduler, engine, candidate)
+                for engine in engines] == fresh
+
     def test_grant_capped_by_avg_plus_threshold(self, resnet_stack):
         scheduler = resnet_stack.make_scheduler("veltair_as")
         queries = uniform_queries(resnet_stack.compiled, "resnet50", 10, 1)
@@ -283,9 +312,69 @@ class TestGoldenOutcomes:
                 metrics.blocks_started) == _GOLDEN[policy, batched]
 
 
+def _serve_golden(stack, runtime, policy):
+    """The golden duo stream under ``policy`` on ``runtime``; returns
+    the ``(query_id, finished_s)`` sequence."""
+    queries = poisson_queries(stack.compiled, _mix_spec(), 400, 60, seed=3)
+    engine = Engine(stack.cost_model, price_cache=runtime.price_cache)
+    done = engine.run(queries, stack.make_scheduler(policy, runtime))
+    return [(q.query_id, q.finished_s) for q in done]
+
+
 class TestPlanTable:
     """Each device's profiles are its plan table: one table serves every
     run, node and policy, and schedulers hold no caches."""
+
+    def test_plans_are_built_once_per_key(self, light_stack, fresh_runtime,
+                                          monkeypatch):
+        """A dispatch reads a whole plan: Alg. 2's pivot scan runs once
+        per distinct plan key, so fewer times than ``plan`` is called."""
+        import repro.scheduling.dynamic_block as dynamic_block
+        from repro.scheduling.base import ModelProfile
+
+        pivots, keys, plans = [], [], []
+        find_first_pivot = dynamic_block.find_first_pivot
+        memoized = ModelProfile.memoized
+        plan = dynamic_block.DynamicBlockScheduler.plan
+
+        def counted_pivot(*args):
+            pivots.append(args[1:])  # (start, cap)
+            return find_first_pivot(*args)
+
+        def recorded_key(profile, key, build):
+            if key[0] in ("static", "pressure"):
+                keys.append((profile.compiled.name, key))
+            return memoized(profile, key, build)
+
+        def counted_plan(*args):
+            plans.append(args[-1])
+            return plan(*args)
+
+        monkeypatch.setattr(dynamic_block, "find_first_pivot", counted_pivot)
+        monkeypatch.setattr(ModelProfile, "memoized", recorded_key)
+        monkeypatch.setattr(dynamic_block.DynamicBlockScheduler, "plan",
+                            counted_plan)
+        runtime = fresh_runtime(light_stack)
+        for policy in ("veltair_full", "veltair_as"):
+            pivots.clear()
+            keys.clear()
+            plans.clear()
+            _serve_golden(light_stack, runtime, policy)
+            assert len(keys) == len(plans), policy
+            assert len(pivots) == len(set(keys)), policy
+            assert len(pivots) < len(plans), policy
+
+    def test_rows_never_cross_serve(self, light_stack, fresh_runtime):
+        """veltair_as pivots on the static rows and veltair_full on the
+        per-pressure rows, whose pressure-0 demands differ: on a shared
+        profile each policy reads only plans built from its own rows."""
+        for first, second in (("veltair_as", "veltair_full"),
+                              ("veltair_full", "veltair_as")):
+            shared = fresh_runtime(light_stack)
+            _serve_golden(light_stack, shared, first)
+            assert (_serve_golden(light_stack, shared, second)
+                    == _serve_golden(light_stack, fresh_runtime(light_stack),
+                                     second)), (first, second)
 
     def test_second_run_reuses_the_plan_table(self, light_stack,
                                               monkeypatch):
