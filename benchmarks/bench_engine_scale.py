@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                      args.seed, True, shared)
     out(f"shared-cache rerun: prices/q {cold.prices / count:.2f} -> "
         f"{warm.prices / count:.2f} "
-        f"(hit rate {shared.hit_rate:.1%}, {len(shared)} entries)")
+        f"(hit rate {shared.hit_rate:.1%}, {len(shared)} block shapes)")
     if warm.prices > max(8, cold.prices // 10):
         failures.append("shared cache barely reused across runs")
 

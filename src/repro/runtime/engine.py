@@ -26,10 +26,19 @@ QPS-with-95%-QoS evaluation lives in):
   per-engine stale counter triggers heap compaction when stale finish
   events dominate, and arrivals are staged into the heap one at a time,
   so the heap stays O(running blocks) rather than O(pushed events).
-* **Shared pricing cache** — pricing goes through a
+* **Shape tables** — :meth:`Engine.start_block` reads the block's shape
+  (model name, layer range, versions, batch) once from a
   :class:`~repro.runtime.pricing.PricingCache` that the serving stack
-  persists across runs and policies, so identical blocks recurring in a
-  QPS sweep skip the cost model entirely.
+  persists across runs and policies.  The entry is that shape's price
+  table: the pressure contribution by core count, and (duration, miss
+  rate, access rate) by (cores, pressure quantum).  The running block
+  keeps its table (:attr:`RunningBlock.table`), so every later pressure
+  or price read is one dict lookup on a small key, and identical blocks
+  recurring in a QPS sweep skip the cost model entirely.
+* **Conflict count** — :attr:`Engine.conflicted_blocks` counts running
+  blocks holding fewer cores than they asked for, kept at start, grow
+  and finish like the core ledger, so a policy's conflict recovery is
+  skipped in O(1) while no block is short.
 
 The engine owns mechanics only (clock, events, core ledger, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
@@ -163,6 +172,10 @@ class Engine:
         #: Cores held by the running blocks: the sum of their ``cores``,
         #: kept at :meth:`start_block`, :meth:`grow_block` and finish.
         self.cores_used = 0
+        #: Running blocks holding fewer cores than they asked for, kept
+        #: like :attr:`cores_used`; conflict recovery runs only while
+        #: this is nonzero.
+        self.conflicted_blocks = 0
         self.soon_to_finish_threshold = _SOON_TO_FINISH_THRESHOLD
         self.now = 0.0
         self.metrics = SimulationMetrics()
@@ -179,9 +192,9 @@ class Engine:
         #: Re-price every block each round when False (the legacy mode,
         #: kept for A/B verification and the scale benchmark).
         self.incremental = incremental
-        #: Shared (or private) block pricing memo, bound to this cost
-        #: model: cache keys do not embed the model, so sharing one
-        #: cache across cost models would cross-serve stale prices.
+        #: Shared (or private) memo of per-shape price tables, bound to
+        #: this cost model: shape keys do not embed the model, so sharing
+        #: one cache across cost models would cross-serve stale prices.
         self.price_cache = (price_cache if price_cache is not None
                             else PricingCache())
         if self.price_cache.owner_token is None:
@@ -277,6 +290,7 @@ class Engine:
         having) only resolves ``_PRESSURE_QUANTUM`` steps; planners
         should quantize their estimates with this so their cache keys
         are never finer than what pricing can distinguish.
+        :meth:`_reprice_dirty` applies the same expression in line.
         """
         steps = round(pressure / _PRESSURE_QUANTUM)
         return min(1.0, steps * _PRESSURE_QUANTUM)
@@ -308,18 +322,26 @@ class Engine:
         ``ValueError`` unless ``1 <= cores <= available_cores``.
         """
         start_layer = query.next_layer
-        if not start_layer < stop_layer <= len(query.model.layers):
+        model = query.model
+        if not start_layer < stop_layer <= len(model.layers):
             raise ValueError(
                 f"bad block range [{start_layer}, {stop_layer}) for "
-                f"{query.model.name}")
-        self._take_cores(cores)
+                f"{model.name}")
+        if not 1 <= cores <= self.cpu.cores - self.cores_used:
+            self._take_cores(cores)  # raises: the grant does not fit
+        self.cores_used += cores
         desired = desired_cores if desired_cores is not None else cores
         task_id = next(self._task_ids)
+        shape = (model.name, start_layer, stop_layer, versions, query.batch)
+        table = self.price_cache.get(shape)
+        if table is None:  # a fresh table is empty, hence falsy
+            table = {}
+            self.price_cache.put(shape, table)
 
         block = RunningBlock(
             task_id=task_id, query=query, start_layer=start_layer,
             stop_layer=stop_layer, versions=versions, cores=cores,
-            desired_cores=desired, started_s=self.now,
+            desired_cores=desired, started_s=self.now, table=table,
             last_update_s=self.now,
         )
         block.pressure = self._block_pressure(block)
@@ -330,6 +352,7 @@ class Engine:
         query.blocks += 1
         self.metrics.blocks_started += 1
         if desired > cores:
+            self.conflicted_blocks += 1
             query.conflicts += 1
             self.metrics.conflicts += 1
             if self.tracer is not None:
@@ -350,6 +373,8 @@ class Engine:
         """
         block = self.running[task_id]
         self._take_cores(extra_cores)
+        if block.cores < block.desired_cores <= block.cores + extra_cores:
+            self.conflicted_blocks -= 1
         block.cores += extra_cores
         block.pending_overhead_s += self.cost_model.expand_overhead(
             extra_cores)
@@ -381,12 +406,10 @@ class Engine:
 
     def _block_pressure(self, block: RunningBlock) -> float:
         """Duration-weighted pressure contribution of a block's layers."""
-        batch = block.query.batch
-        key = ("pressure", block.query.model.name, block.start_layer,
-               block.stop_layer, block.versions, block.cores, batch)
-        cached = self.price_cache.get(key)
+        cached = block.table.get(block.cores)
         if cached is not None:
             return cached
+        batch = block.query.batch
         layers = block.query.model.graph.layers
         total_time = 0.0
         weighted = 0.0
@@ -400,7 +423,7 @@ class Engine:
             total_time += iso
             weighted += iso * contribution
         value = weighted / total_time if total_time > 0 else 0.0
-        self.price_cache.put(key, value)
+        block.table[block.cores] = value
         return value
 
     def _advance(self, to_time: float) -> None:
@@ -424,13 +447,12 @@ class Engine:
     def _price_block(self, block: RunningBlock,
                      pressure: float) -> tuple[float, float, float]:
         """(duration, miss lines/s, access lines/s) for a block execution."""
-        batch = block.query.batch
-        key = (block.query.model.name, block.start_layer, block.stop_layer,
-               block.versions, block.cores, pressure, batch)
-        cached = self.price_cache.get(key)
+        key = (block.cores, pressure)
+        cached = block.table.get(key)
         if cached is not None:
             return cached
         self.metrics.prices_computed += 1
+        batch = block.query.batch
         duration = block_duration(
             self.cost_model, block.query.model, block.start_layer,
             block.stop_layer, block.versions, block.cores, pressure, batch)
@@ -445,7 +467,7 @@ class Engine:
             misses += execution.dram_line_misses
             accesses += execution.llc_line_accesses
         priced = (duration, misses / duration, accesses / duration)
-        self.price_cache.put(key, priced)
+        block.table[key] = priced
         return priced
 
     def _push_event(self, time: float, kind: str, payload: object) -> None:
@@ -473,10 +495,15 @@ class Engine:
         block.generation += 1
         block.priced_quantum = quantum
         remaining = max(0.0, 1.0 - block.progress) * duration
-        self._push_event(self.now + remaining, "finish",
-                         (block.task_id, block.generation))
-        self.metrics.repricings += 1
-        self.metrics.finish_events_pushed += 1
+        # _push_event in line: this is the engine's busiest push.
+        events = self._events
+        heapq.heappush(events, (self.now + remaining, next(self._seq),
+                                "finish", (block.task_id, block.generation)))
+        metrics = self.metrics
+        if len(events) > metrics.heap_peak:
+            metrics.heap_peak = len(events)
+        metrics.repricings += 1
+        metrics.finish_events_pushed += 1
 
     def _reprice_dirty(self) -> None:
         """Re-price blocks whose quantized excluded pressure changed.
@@ -488,6 +515,7 @@ class Engine:
         round (the pre-overhaul behaviour, kept for A/B checks).
         """
         total = self._pressure_sum
+        incremental = self.incremental
         changed = False
         for block in self.running.values():
             excluded = total - block.pressure
@@ -495,8 +523,9 @@ class Engine:
                 excluded = 0.0
             elif excluded > 1.0:
                 excluded = 1.0
-            quantum = self.quantize_pressure(excluded)
-            if self.incremental and quantum == block.priced_quantum:
+            # quantize_pressure in line; on [0, 1] its cap never binds.
+            quantum = round(excluded / _PRESSURE_QUANTUM) * _PRESSURE_QUANTUM
+            if incremental and quantum == block.priced_quantum:
                 continue
             self._reprice_block(block, quantum)
             changed = True
@@ -512,22 +541,28 @@ class Engine:
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
-        """Rebuild the heap once stale finish events dominate it."""
+        """Rebuild the heap once stale finish events dominate it.
+
+        The heap list is rebuilt in place: the drive loop holds it.
+        """
         if self._stale_finish <= _COMPACT_MIN_STALE:
             return
-        if self._stale_finish * 2 <= len(self._events):
+        events = self._events
+        if self._stale_finish * 2 <= len(events):
             return
-        live = [event for event in self._events
+        live = [event for event in events
                 if event[2] != "finish"
                 or not self._stale(event[2], event[3])]
-        self.metrics.stale_events_dropped += len(self._events) - len(live)
-        self._events = live
-        heapq.heapify(self._events)
+        self.metrics.stale_events_dropped += len(events) - len(live)
+        events[:] = live
+        heapq.heapify(events)
         self._stale_finish = 0
         self.metrics.heap_compactions += 1
 
     def _finish_block(self, block: RunningBlock) -> None:
         self.cores_used -= block.cores
+        if block.cores < block.desired_cores:
+            self.conflicted_blocks -= 1
         del self.running[block.task_id]
         self._pressure_sum -= block.pressure
         self._miss_sum -= block.miss_lines_per_s
@@ -536,7 +571,7 @@ class Engine:
         query.next_layer = block.stop_layer
         if self.tracer is not None:
             self._trace_block(block)
-        if query.done:
+        if block.stop_layer >= len(query.model.layers):  # query.done
             if isinstance(query, BatchQuery):
                 self._complete_batch(query)
             else:
@@ -779,6 +814,7 @@ class Engine:
         A finish event is stale once its block has finished or was
         re-priced (its generation moved on); a batch timer once its
         group is no longer the model's open one.  Arrivals never are.
+        :meth:`_drive` applies the finish rule in line.
         """
         if kind == "finish":
             block = self.running.get(payload[0])
@@ -809,11 +845,28 @@ class Engine:
         scheduler = self._scheduler
         if scheduler is None:
             raise RuntimeError("no scheduler bound; call begin()/run()")
-        while (event := self._peek()) is not None:
-            time, _, kind, payload = event
+        # The heap top is read once per event.  Stale tops are dropped
+        # as :meth:`_peek` drops them (the finish rule of :meth:`_stale`
+        # in line, keeping the block it looks up); compaction rebuilds
+        # ``events`` in place.
+        events = self._events
+        running = self.running
+        heappop = heapq.heappop
+        while events:
+            time, _, kind, payload = events[0]
+            if kind == "finish":
+                block = running.get(payload[0])
+                if block is None or block.generation != payload[1]:
+                    heappop(events)
+                    self._stale_finish -= 1
+                    self.metrics.stale_events_dropped += 1
+                    continue
+            elif kind == "batch" and self._stale(kind, payload):
+                heappop(events)
+                continue
             if horizon_s is not None and time > horizon_s:
                 break  # left on the heap for the next call
-            heapq.heappop(self._events)
+            heappop(events)
             self._advance(time)
             if kind == "arrival":
                 if self.batching is not None and payload.next_layer == 0:
@@ -827,11 +880,11 @@ class Engine:
             elif kind == "batch":
                 self._batch_flush(payload[0])
             else:
-                self._finish_block(self.running[payload[0]])
+                self._finish_block(block)
             scheduler.schedule(self)
             # Only a live event can wake an idle machine: stale ones
             # never fire, so a heap of them must not hide a deadlock.
-            if (not self.running and (self.waiting or self.ready)
+            if (not running and (self.waiting or self.ready)
                     and self._peek() is None):
                 raise RuntimeError(
                     "scheduler deadlock: pending queries with an idle "

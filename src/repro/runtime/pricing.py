@@ -9,12 +9,21 @@ therefore prices through a :class:`PricingCache` that the
 engine it builds, so a warm sweep eliminates most
 :func:`~repro.runtime.tasks.block_duration` calls entirely.
 
-The cache is content-addressed — keys embed the model name, layer range,
-version tuple, core count, and pressure quantum — so sharing it across
-runs and policies cannot change any result; a hit returns exactly what a
-recomputation would.  Keys do *not* embed the cost model or CPU spec,
-so a cache must never be shared across different cost models: the
-engine binds each cache to the first cost model that prices through it
+The engine's entries are block *shapes*: the key is (model name, first
+layer, stop layer, version tuple, batch), read once when a block starts,
+and the value is that shape's price table, a plain dict holding the
+pressure contribution under key ``cores`` and the (duration, miss
+lines/s, access lines/s) triple under key ``(cores, pressure
+quantum)``.  A table therefore holds at most 22 keys per core count (one
+pressure, 21 quanta of 0.05 on [0, 1]); :attr:`max_entries` counts
+shapes, not prices.  Running blocks keep their table, so evicting a
+shape never touches a block in flight.
+
+The cache is content-addressed, so sharing it across runs and policies
+cannot change any result; a hit returns exactly what a recomputation
+would.  Keys do *not* embed the cost model or CPU spec, so a cache must
+never be shared across different cost models: the engine binds each
+cache to the first cost model that prices through it
 (:attr:`owner_token`) and rejects any other.  Eviction is batched FIFO:
 when full, the oldest eighth of the entries is dropped in one pass,
 keeping the steady-state cost of :meth:`put` at O(1) amortised without
@@ -31,10 +40,11 @@ class PricingCache:
     """Bounded key/value memo with hit-rate accounting.
 
     Values must not be ``None`` (a ``None`` return from :meth:`get`
-    signals a miss).  The engine stores pricing tuples and pressure
-    contributions, and each :class:`~repro.scheduling.base.ModelProfile`
-    its plan memo's rows, batched profiles and block demands; anything
-    hashable works as a key.
+    signals a miss; test for it with ``is None``, since an empty price
+    table is falsy).  The engine stores one price table per block shape,
+    and each :class:`~repro.scheduling.base.ModelProfile` its plan
+    memo's rows, batched profiles and block plans; anything hashable
+    works as a key.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions",

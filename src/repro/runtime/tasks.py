@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.costmodel import CostModel
 from repro.compiler.library import CompiledModel
@@ -138,6 +138,11 @@ class RunningBlock:
     #: Cores the scheduler actually wanted (conflict bookkeeping).
     desired_cores: int
     started_s: float
+    #: Price table of the block's shape (model, layer range, versions,
+    #: batch), shared through the engine's pricing cache: the pressure
+    #: contribution by core count, and (duration, miss lines/s, access
+    #: lines/s) by (cores, pressure quantum).
+    table: dict = field(repr=False, compare=False)
     #: Fraction of the block's work completed.
     progress: float = 0.0
     #: Work fraction per second under the current co-location set.

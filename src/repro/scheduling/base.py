@@ -240,17 +240,19 @@ class SpatialScheduler:
         except KeyError:
             raise KeyError(f"no profile for model {query.model.name!r};"
                            " build_profile() it first") from None
-        return profile.at_batch(query.batch)
+        batch = query.batch  # at_batch in line: most queries are unbatched
+        return profile if batch == profile.batch else profile.at_batch(batch)
 
     # -- driver ---------------------------------------------------------------
 
     def schedule(self, engine: Engine) -> None:
-        if self.allow_grow:
+        if self.allow_grow and engine.conflicted_blocks:
             self._grow_conflicted(engine)
+        cores = engine.cpu.cores
         for queue in (engine.ready, engine.waiting):
             is_new_arrivals = queue is engine.waiting
             while queue:
-                available = engine.available_cores
+                available = cores - engine.cores_used  # available_cores
                 if available <= 0:
                     return
                 plan = self.plan(engine, queue[0])

@@ -209,7 +209,9 @@ class TestEngine:
 
 class TestCoreLedger:
     """The running blocks are the core ledger: ``cores_used`` is the sum
-    of their grants, and a grant must fit the free cores."""
+    of their grants, and a grant must fit the free cores.  The conflict
+    count (blocks holding fewer cores than they asked for) is kept the
+    same way."""
 
     def test_over_grant_rejected_without_change(self, resnet_stack):
         engine = Engine(resnet_stack.cost_model)
@@ -217,6 +219,7 @@ class TestCoreLedger:
                                    desired=64)
         assert engine.cores_used == 60
         assert engine.available_cores == resnet_stack.cpu.cores - 60
+        assert engine.conflicted_blocks == 1
         for cores in (engine.available_cores + 1, 0):
             with pytest.raises(ValueError):
                 _start_one_block(resnet_stack, engine, cores=cores)
@@ -224,6 +227,7 @@ class TestCoreLedger:
         with pytest.raises(ValueError):
             engine.grow_block(task_id, engine.available_cores + 1)
         assert engine.cores_used == 60
+        assert engine.conflicted_blocks == 1
         assert engine.running[task_id].cores == 60
         assert list(engine.running) == [task_id]
 
@@ -255,18 +259,24 @@ class TestCoreLedger:
                             query, stop, grant,
                             profile.static_versions[query.next_layer:stop],
                             desired_cores=grant + rng.randint(0, 16))
-                samples.append((engine.cores_used, sum(
-                    b.cores for b in engine.running.values())))
+                running = engine.running.values()
+                samples.append((engine.cores_used,
+                                sum(b.cores for b in running),
+                                engine.conflicted_blocks,
+                                sum(b.cores < b.desired_cores
+                                    for b in running)))
 
         queries = poisson_queries(light_stack.compiled, _DUO, 400, 12,
                                   seed=seed % 1000)
         engine = Engine(light_stack.cost_model)
         done = engine.run(queries, RandomGrants())
         assert len(done) == 12
-        for used, held in samples:
+        for used, held, conflicted, short in samples:
             assert used == held
             assert 0 <= used <= cores
+            assert conflicted == short
         assert engine.cores_used == 0
+        assert engine.conflicted_blocks == 0
         metrics = engine.metrics
         assert metrics.usage_core_seconds <= (
             cores * metrics.span_s * (1 + 1e-9))
