@@ -8,20 +8,18 @@
 from conftest import record
 
 from repro.runtime.engine import Engine
-from repro.scheduling.dynamic_block import (
-    DynamicBlockScheduler,
-    ProportionalThresholdPolicy,
-)
+from repro.scheduling.dynamic_block import DynamicBlockScheduler
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.metrics import summarize
 from repro.serving.workload import uniform_queries
 
 
-class _PinnedThreshold(ProportionalThresholdPolicy):
-    def __init__(self, value):
+class _PinnedThreshold(DynamicBlockScheduler):
+    def __init__(self, cost_model, profiles, value):
+        super().__init__(cost_model, profiles)
         self.value = value
 
-    def threshold_for(self, scheduler, engine, query):
+    def threshold_for(self, engine, query, avg_cores):
         return self.value
 
 
@@ -41,9 +39,8 @@ def test_ablation_threshold_policy(stack, benchmark, bench_queries):
             stack, DynamicBlockScheduler(stack.cost_model, stack.profiles),
             qps, bench_queries)
         for pinned in (0, 8, 24):
-            scheduler = DynamicBlockScheduler(
-                stack.cost_model, stack.profiles,
-                threshold_policy=_PinnedThreshold(pinned))
+            scheduler = _PinnedThreshold(stack.cost_model, stack.profiles,
+                                         pinned)
             rows[f"pinned thres={pinned}"] = _run(stack, scheduler, qps,
                                                   bench_queries)
         return rows

@@ -210,9 +210,6 @@ class Engine:
         self._access_sum = 0.0
         #: Stale finish events currently sitting in the heap.
         self._stale_finish = 0
-        #: Bumped on every running-set/core-grant mutation; schedulers
-        #: key co-location-dependent memos (e.g. thresholds) on this.
-        self.colocation_epoch = 0
         #: Bumped after each repricing round that changed any block.
         self.pressure_epoch = 0
         #: Arrival staging: sorted (time, seq, "arrival", query) records
@@ -352,6 +349,7 @@ class Engine:
         query.blocks += 1
         self.metrics.blocks_started += 1
         if desired > cores:
+            block.had_conflict = True
             self.conflicted_blocks += 1
             query.conflicts += 1
             self.metrics.conflicts += 1
@@ -360,7 +358,6 @@ class Engine:
                     "conflict", self.now, cat="engine",
                     qid=query.query_id,
                     args={"desired": desired, "granted": cores})
-        self.colocation_epoch += 1
         self._dirty = True
         return task_id
 
@@ -389,7 +386,6 @@ class Engine:
                 qid=block.query.query_id,
                 args={"extra": extra_cores, "cores": block.cores})
         block.priced_quantum = -1.0  # owes its spawn: re-price next round
-        self.colocation_epoch += 1
         self._dirty = True
 
     # ------------------------------------------------------------------
@@ -583,7 +579,6 @@ class Engine:
                     self.on_complete(self, query)
         else:
             self.ready.append(query)
-        self.colocation_epoch += 1
         self._dirty = True
 
     def _complete_batch(self, batch: BatchQuery) -> None:

@@ -161,7 +161,6 @@ class RunningBlock:
     #: Counter rates cached at the last re-pricing (proxy inputs).
     miss_lines_per_s: float = 0.0
     access_lines_per_s: float = 0.0
-
-    @property
-    def had_conflict(self) -> bool:
-        return self.cores < self.desired_cores
+    #: Started short of ``desired_cores`` (a conflict), even if a grow
+    #: made up the difference since.
+    had_conflict: bool = False

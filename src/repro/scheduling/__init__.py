@@ -7,10 +7,7 @@ from repro.scheduling.base import (
     block_required_cores,
     build_profile,
 )
-from repro.scheduling.dynamic_block import (
-    DynamicBlockScheduler,
-    ProportionalThresholdPolicy,
-)
+from repro.scheduling.dynamic_block import DynamicBlockScheduler
 from repro.scheduling.fcfs_model import ModelWiseFcfs
 from repro.scheduling.fixed_block import FixedBlockScheduler
 from repro.scheduling.gacer import GacerScheduler
@@ -24,7 +21,7 @@ from repro.scheduling.veltair import VeltairScheduler
 __all__ = [
     "BlockPlan", "ModelProfile", "SpatialScheduler",
     "block_required_cores", "build_profile",
-    "DynamicBlockScheduler", "ProportionalThresholdPolicy",
+    "DynamicBlockScheduler",
     "ModelWiseFcfs", "FixedBlockScheduler", "GacerScheduler",
     "AdaptiveCompilationOnly", "LayerWiseScheduler",
     "PremaScheduler", "VeltairScheduler",

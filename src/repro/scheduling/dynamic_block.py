@@ -18,8 +18,6 @@ This scheduler with static versions is the VELTAIR-AS configuration.
 
 from __future__ import annotations
 
-import weakref
-
 from repro.runtime.engine import Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
@@ -29,49 +27,6 @@ from repro.scheduling.base import BlockPlan, ModelProfile, SpatialScheduler
 #: Avg_C + thres cap still bounds how many cores that may cost (Alg. 2's
 #: "no more than Avg_C + thres").
 _BUDGET_HEADROOM = 0.8
-
-
-class ProportionalThresholdPolicy:
-    """Paper Sec. 4.3: distribute idle cores proportionally to ``Avg_C``.
-
-    The threshold depends only on the co-located queries and the
-    candidate's ``Avg_C``, so the policy keeps one sum of the running
-    queries' ``Avg_C`` per engine co-location epoch (any start, grow or
-    finish bumps the epoch) and derives every candidate's threshold from
-    it.  Queries count once by ``query_id`` (a pipeline's stages share
-    their pipeline's id), the candidate replacing a running namesake.
-    The sum is keyed on the engine object itself, held weakly, so a
-    policy serving several engines never reads one engine's sum for
-    another.
-    """
-
-    def __init__(self) -> None:
-        self._engine: weakref.ref[Engine] | None = None
-        self._epoch: int | None = None
-        #: ``Avg_C`` of each running query, by ``query_id``, and their sum.
-        self._running: dict[int, int] = {}
-        self._total = 0
-
-    def threshold_for(self, scheduler: "DynamicBlockScheduler",
-                      engine: Engine, query: Query) -> int:
-        if (engine.colocation_epoch != self._epoch
-                or self._engine() is not engine):
-            self._sum_running(scheduler, engine)
-        own = scheduler.profile_for(query).avg_cores
-        total = self._total - self._running.get(query.query_id, 0) + own
-        idle = scheduler.cost_model.cpu.cores - total
-        if idle <= 0:
-            return 0
-        return int(idle * own / total)
-
-    def _sum_running(self, scheduler: "DynamicBlockScheduler",
-                     engine: Engine) -> None:
-        self._engine = weakref.ref(engine)
-        self._epoch = engine.colocation_epoch
-        self._running = {
-            block.query.query_id: scheduler.profile_for(block.query).avg_cores
-            for block in engine.running.values()}
-        self._total = sum(self._running.values())
 
 
 class DynamicBlockScheduler(SpatialScheduler):
@@ -85,13 +40,6 @@ class DynamicBlockScheduler(SpatialScheduler):
     #: policies sharing a profile.
     rows = "static"
 
-    def __init__(self, cost_model, profiles,
-                 threshold_policy: ProportionalThresholdPolicy | None = None,
-                 ) -> None:
-        super().__init__(cost_model, profiles)
-        self.threshold_policy = (threshold_policy
-                                 or ProportionalThresholdPolicy())
-
     # -- planning hooks (overridden by the full scheduler) ------------------
 
     def planning_pressure(self, engine: Engine) -> float:
@@ -103,12 +51,31 @@ class DynamicBlockScheduler(SpatialScheduler):
         the profile's static rows."""
         return profile.static_versions, profile.layer_required_cores
 
+    def threshold_for(self, engine: Engine, query: Query,
+                      avg_cores: int) -> int:
+        """Paper Sec. 4.3: the cores left idle after granting every
+        co-located query its ``Avg_C``, shared in proportion to
+        ``Avg_C``; ``avg_cores`` is the candidate's.
+
+        Queries count once by ``query_id`` (a pipeline's stages share
+        their pipeline's id), at their latest block's ``Avg_C``, and the
+        candidate replaces a running namesake.
+        """
+        demand = {block.query.query_id: self.profile_for(block.query).avg_cores
+                  for block in engine.running.values()}
+        demand[query.query_id] = avg_cores
+        total = sum(demand.values())
+        idle = self.cost_model.cpu.cores - total
+        if idle <= 0:
+            return 0
+        return int(idle * avg_cores / total)
+
     # -- Alg. 2 ----------------------------------------------------------------
 
     def plan(self, engine: Engine, query: Query) -> BlockPlan | None:
         profile = self.profile_for(query)
         pressure = self.planning_pressure(engine)
-        threshold = self.threshold_policy.threshold_for(self, engine, query)
+        threshold = self.threshold_for(engine, query, profile.avg_cores)
         cap = min(self.cost_model.cpu.cores,
                   max(1, profile.avg_cores + threshold))
         start = query.next_layer

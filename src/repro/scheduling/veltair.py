@@ -17,10 +17,7 @@ from repro.interference.proxy import (
 )
 from repro.runtime.engine import Engine
 from repro.scheduling.base import ModelProfile
-from repro.scheduling.dynamic_block import (
-    DynamicBlockScheduler,
-    ProportionalThresholdPolicy,
-)
+from repro.scheduling.dynamic_block import DynamicBlockScheduler
 
 
 class VeltairScheduler(DynamicBlockScheduler):
@@ -29,11 +26,8 @@ class VeltairScheduler(DynamicBlockScheduler):
     rows = "pressure"
 
     def __init__(self, cost_model, profiles,
-                 proxy: LinearInterferenceProxy | None = None,
-                 threshold_policy: ProportionalThresholdPolicy | None = None,
-                 ) -> None:
-        super().__init__(cost_model, profiles,
-                         threshold_policy=threshold_policy)
+                 proxy: LinearInterferenceProxy | None = None) -> None:
+        super().__init__(cost_model, profiles)
         self.proxy = proxy
 
     def planning_pressure(self, engine: Engine) -> float:

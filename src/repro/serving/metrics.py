@@ -113,6 +113,8 @@ def max_qps_at_satisfaction(
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target must be in (0, 1]")
+    if not tolerance_qps > 0.0:  # NaN fails too
+        raise ValueError("tolerance_qps must be positive")
     batch = max(1, int(batch))
 
     def evaluate(points: list[float]) -> list[ServingReport]:

@@ -22,9 +22,11 @@ Every record is a :class:`TraceRecord` with a ``kind``:
     A closed interval ``[ts, ts + dur]``.  Categories in use:
     ``query`` (arrival → completion, one per query, linked by ``qid``),
     ``phase`` (the ``queue`` wait: arrival → first block start), and
-    ``block`` (one engine block execution; ``args`` carries cores,
-    layer range, version levels, conflict flag, and the isolated
-    duration ``iso_s`` so interference stall is recoverable per block).
+    ``block`` (one engine block execution; ``args`` carries the final
+    cores, the layer range, a ``conflict`` flag on a block that started
+    short of the cores it asked for, a pipeline ``stage`` where there is
+    one, and the isolated duration ``iso_s`` so interference stall is
+    recoverable per block).
     Request-model serves add ``batch`` (one fused batch, arrival of the
     first member → completion, ``args`` lists member qids), ``pipeline``
     (a chain's arrival → last-stage completion, ``qid`` = pipeline id,

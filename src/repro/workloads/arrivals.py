@@ -306,6 +306,8 @@ class TraceArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if not self.times:
             raise ValueError("trace has no arrivals")
+        if not all(map(math.isfinite, self.times)):
+            raise ValueError("trace times must be finite")
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("trace times must be non-decreasing")
 

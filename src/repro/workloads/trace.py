@@ -11,6 +11,7 @@ over them is indistinguishable from one over the original stream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -47,9 +48,14 @@ class ArrivalTrace:
         if not self.entries:
             raise ValueError(f"trace {self.name!r} is empty")
         arrivals = [entry.arrival_s for entry in self.entries]
+        if not all(map(math.isfinite, arrivals)):
+            raise ValueError(f"trace {self.name!r} arrivals must be finite")
         if any(b < a for a, b in zip(arrivals, arrivals[1:])):
             raise ValueError(f"trace {self.name!r} arrivals must be "
                              "non-decreasing")
+        if not all(0.0 < entry.qos_s < math.inf for entry in self.entries):
+            raise ValueError(f"trace {self.name!r} QoS budgets must be "
+                             "positive and finite")
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -9,6 +9,8 @@ experiment drivers.
 """
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.serving.workload import (
     uniform_queries,
 )
 from repro.workloads import (
+    TRACE_SCHEMA,
     ArrivalTrace,
     DiurnalArrivals,
     FlashCrowdArrivals,
@@ -169,6 +172,9 @@ class TestArrivalValidation:
             TraceArrivals(times=())
         with pytest.raises(ValueError):
             TraceArrivals(times=(2.0, 1.0))
+        for bad in ((0.1, math.nan, 0.05), (0.1, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                TraceArrivals(times=bad)
         process = TraceArrivals(times=(0.5, 1.0, 1.5))
         with pytest.raises(ValueError):
             process.sample_times(10.0, 4, make_rng(0))
@@ -301,6 +307,25 @@ class TestTraceRoundTrip:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ArrivalTrace(name="none", entries=())
+
+    @pytest.mark.parametrize("entries, match", [
+        ([[0.1, "googlenet", 0.02], [math.nan, "googlenet", 0.02],
+          [0.05, "googlenet", 0.02]], "finite"),
+        ([[0.1, "googlenet", 0.02], [math.inf, "googlenet", 0.02]],
+         "finite"),
+        ([[0.1, "googlenet", -0.02]], "QoS"),
+        ([[0.1, "googlenet", math.nan]], "QoS"),
+        ([[0.1, "googlenet", math.inf]], "QoS"),
+    ])
+    def test_rejects_non_finite_or_bad_qos(self, tmp_path, entries, match):
+        """``json`` writes and parses the ``NaN`` and ``Infinity``
+        literals, and a NaN arrival slips past an ordering check, so
+        each is refused by name."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA, "name": "bad",
+                                    "entries": entries}))
+        with pytest.raises(ValueError, match=match):
+            ArrivalTrace.load(path)
 
 
 class TestExperimentThreading:

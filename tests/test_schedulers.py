@@ -4,15 +4,17 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.engine import BatchPolicy, Engine
+from repro.runtime.tasks import Query
 from repro.serving.workload import (
     poisson_queries,
     single_model,
     uniform_queries,
 )
 from repro.serving.metrics import summarize
-from repro.scheduling.dynamic_block import ProportionalThresholdPolicy
 from repro.serving.server import POLICIES
 
 
@@ -22,6 +24,35 @@ def _serve(stack, policy, model="resnet50", qps=50, count=40):
     scheduler = stack.make_scheduler(policy)
     done = engine.run(queries, scheduler)
     return done, engine
+
+
+_LIGHT = ("mobilenet_v2", "googlenet")
+
+
+def _threshold(scheduler, engine, query):
+    return scheduler.threshold_for(engine, query,
+                                   scheduler.profile_for(query).avg_cores)
+
+
+def _sec43_threshold(stack, engine, candidate):
+    """Paper Sec. 4.3 from first principles: each co-located query_id
+    counts once, at the ``Avg_C`` of its latest block; the candidate
+    replaces a running namesake; the cores left idle after every
+    ``Avg_C`` are shared in proportion to ``Avg_C``."""
+    def avg(query):
+        return stack.profiles[query.model.name].at_batch(
+            query.batch).avg_cores
+
+    latest = {}
+    for block in engine.running.values():
+        held = latest.get(block.query.query_id)
+        if held is None or block.task_id > held.task_id:
+            latest[block.query.query_id] = block
+    own = avg(candidate)
+    total = own + sum(avg(block.query) for qid, block in latest.items()
+                      if qid != candidate.query_id)
+    idle = stack.cpu.cores - total
+    return int(idle * own / total) if idle > 0 else 0
 
 
 class TestAllPoliciesServeLowLoad:
@@ -99,11 +130,10 @@ class TestDynamicBlocks:
 
     def test_threshold_shrinks_with_load(self, resnet_stack):
         scheduler = resnet_stack.make_scheduler("veltair_as")
-        policy = ProportionalThresholdPolicy()
         queries = uniform_queries(resnet_stack.compiled, "resnet50",
                                   10, 3)
         engine = Engine(resnet_stack.cost_model)
-        idle_thres = policy.threshold_for(scheduler, engine, queries[0])
+        idle_thres = _threshold(scheduler, engine, queries[0])
 
         profile = resnet_stack.profiles["resnet50"]
         engine.waiting.extend(queries)
@@ -111,12 +141,12 @@ class TestDynamicBlocks:
                            profile.static_versions)
         engine.start_block(queries[2], len(queries[2].model.layers), 20,
                            profile.static_versions)
-        busy_thres = policy.threshold_for(scheduler, engine, queries[0])
+        busy_thres = _threshold(scheduler, engine, queries[0])
         assert busy_thres <= idle_thres
 
     def test_threshold_is_per_engine(self, light_stack):
-        """One policy serving two engines at the same co-location epoch
-        must not hand one engine's threshold to the other."""
+        """One scheduler serving two engines must not hand one engine's
+        threshold to the other."""
         scheduler = light_stack.make_scheduler("veltair_as")
         versions = light_stack.profiles["mobilenet_v2"].static_versions
         engines = []
@@ -131,17 +161,58 @@ class TestDynamicBlocks:
             if starts == 1:
                 engine.grow_block(next(iter(engine.running)), 2)
             engines.append(engine)
-        # Two starts, or a start and a grow: the same epoch, but two
-        # co-located queries against one.
-        assert [engine.colocation_epoch for engine in engines] == [2, 2]
+        # Two starts, or a start and a grow: two co-located queries
+        # against one.
         candidate = uniform_queries(light_stack.compiled, "googlenet",
                                     10, 3)[2]
-        fresh = [ProportionalThresholdPolicy().threshold_for(
-            scheduler, engine, candidate) for engine in engines]
+        fresh = [_threshold(light_stack.make_scheduler("veltair_as"),
+                            engine, candidate) for engine in engines]
         assert fresh[0] != fresh[1]  # a cross-served value would show
-        shared = scheduler.threshold_policy
-        assert [shared.threshold_for(scheduler, engine, candidate)
+        assert [_threshold(scheduler, engine, candidate)
                 for engine in engines] == fresh
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(("start", "grow", "finish", "read")),
+        st.integers(0, 2), st.sampled_from(_LIGHT), st.integers(1, 2),
+        st.integers(1, 24), st.integers(0, 6)), max_size=24))
+    # Two blocks of query 0 at different Avg_C: the later one counts.
+    @example([("start", 0, "googlenet", 1, 8, 0), ("read", 0, "googlenet", 1, 1, 0),
+              ("start", 0, "googlenet", 2, 8, 0)])
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_counts_each_query_once(self, light_stack, ops):
+        """Sec. 4.3 over generated co-location states: starts (some
+        short), grows and finishes, alternating between two engines that
+        one scheduler serves, with query ids shared among running blocks
+        and candidates."""
+        scheduler = light_stack.make_scheduler("veltair_as")
+        engines = (Engine(light_stack.cost_model),
+                   Engine(light_stack.cost_model))
+
+        def query(qid, name, batch):
+            return Query(query_id=qid, model=light_stack.compiled[name],
+                         arrival_s=0.0, qos_s=1.0, batch=batch)
+
+        candidates = [query(qid, name, batch) for qid in range(3)
+                      for name in _LIGHT for batch in (1, 2)]
+        for step, (op, qid, name, batch, cores, short) in enumerate(ops):
+            engine = engines[step % 2]
+            blocks = list(engine.running.values())
+            free = engine.available_cores
+            if op == "start" and free:
+                started = query(qid, name, batch)
+                engine.start_block(
+                    started, len(started.model.layers), min(cores, free),
+                    light_stack.profiles[name].static_versions,
+                    desired_cores=min(cores, free) + short)
+            elif op == "grow" and blocks and free:
+                engine.grow_block(blocks[qid % len(blocks)].task_id,
+                                  min(cores, free))
+            elif op == "finish" and blocks:
+                engine._finish_block(blocks[qid % len(blocks)])
+            for each in engines:
+                assert ([_threshold(scheduler, each, c) for c in candidates]
+                        == [_sec43_threshold(light_stack, each, c)
+                            for c in candidates])
 
     def test_grant_capped_by_avg_plus_threshold(self, resnet_stack):
         scheduler = resnet_stack.make_scheduler("veltair_as")

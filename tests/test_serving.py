@@ -144,6 +144,29 @@ class TestMaxQpsSearch:
         with pytest.raises(ValueError):
             max_qps_at_satisfaction(lambda q: None, target=0.0)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_tolerance(self, tolerance):
+        """A tolerance the bracket can never close under is refused up
+        front; the stub turns a search that would never end into an
+        error instead of a hang."""
+        probes = []
+
+        def run(loads):
+            probes.extend(loads)
+            if len(probes) > 500:
+                raise RuntimeError("the capacity search does not end")
+            reports = [summarize([], SimulationMetrics(), qps)
+                       for qps in loads]
+            for qps, report in zip(loads, reports):
+                object.__setattr__(report, "completed", 100)
+                object.__setattr__(report, "satisfaction_rate",
+                                   1.0 if qps <= 330 else 0.0)
+            return reports
+
+        with pytest.raises(ValueError, match="tolerance_qps"):
+            max_qps_at_satisfaction(run, tolerance_qps=tolerance)
+        assert probes == []
+
 
 class TestServingStack:
     def test_policy_names_all_construct(self, resnet_stack):

@@ -148,6 +148,18 @@ class TestTracedRun:
         assert len(trace.spans("phase")) == report.completed
         assert len(trace.spans("block")) >= report.completed
 
+    @pytest.mark.parametrize("policy", ["layerwise", "veltair_full"])
+    def test_every_conflict_flags_its_block(self, light_stack, policy):
+        """A block that started short keeps its span's ``conflict`` flag
+        after a grow makes up its cores: one flagged span per event."""
+        tracer = Tracer()
+        light_stack.report(policy, MIX, qps=400, count=200, seed=3,
+                           tracer=tracer)
+        trace = tracer.trace()
+        flagged = [span for span in trace.spans("block")
+                   if span.args.get("conflict")]
+        assert len(flagged) == len(trace.events("conflict")) > 0
+
     def test_summarize_reproduces_report_exactly(self, traced_run):
         trace, report, _ = traced_run
         summary = summarize_trace(trace)
