@@ -31,7 +31,6 @@ from repro.bench.compare import (
 )
 from repro.bench.registry import (
     Benchmark,
-    get_benchmark,
     register_benchmark,
     registered_benchmarks,
     select_benchmarks,
@@ -48,7 +47,7 @@ from repro.bench.results import (
 __all__ = [
     "BenchResult", "RESULT_SCHEMA", "write_result", "load_result",
     "validate_payload", "slugify",
-    "Benchmark", "register_benchmark", "get_benchmark",
+    "Benchmark", "register_benchmark",
     "registered_benchmarks", "select_benchmarks",
     "Tolerance", "Regression", "compare_result", "write_baseline",
 ]

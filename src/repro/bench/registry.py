@@ -100,22 +100,12 @@ class Benchmark:
 _REGISTRY: dict[str, Benchmark] = {}
 
 
-def register_benchmark(benchmark: Benchmark,
-                       overwrite: bool = False) -> Benchmark:
-    if not overwrite and benchmark.name in _REGISTRY:
+def register_benchmark(benchmark: Benchmark) -> Benchmark:
+    if benchmark.name in _REGISTRY:
         raise ValueError(f"benchmark {benchmark.name!r} already "
                          "registered")
     _REGISTRY[benchmark.name] = benchmark
     return benchmark
-
-
-def get_benchmark(name: str) -> Benchmark:
-    _ensure_suites()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown benchmark {name!r}; known: "
-                       f"{sorted(_REGISTRY)}") from None
 
 
 def registered_benchmarks() -> list[Benchmark]:

@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rule", action="append", default=None,
                         metavar="NAME",
                         help="run only this rule (repeatable)")
-    parser.add_argument("--json", action="store_true",
-                        help="shorthand for --format json")
     parser.add_argument("--format", default="text",
                         choices=("text", "github", "json"),
                         help="finding output format (github emits "
@@ -78,12 +76,11 @@ def main(argv: list[str] | None = None) -> int:
 
     findings = run_checks(root, config=config, rules=rules,
                           paths=args.paths or None)
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps([f.to_json() for f in findings], indent=2))
     else:
         for finding in findings:
-            print(finding.github() if fmt == "github"
+            print(finding.github() if args.format == "github"
                   else finding.text())
         if findings:
             print(f"{len(findings)} finding(s). Suppress inline with "

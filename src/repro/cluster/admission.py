@@ -50,11 +50,11 @@ class AdmissionPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.max_fleet_pressure <= 1.0:
             raise ValueError("max_fleet_pressure must be in [0, 1]")
-        if self.max_outstanding_per_core < 0.0:
+        if not self.max_outstanding_per_core >= 0.0:
             raise ValueError("max_outstanding_per_core must be >= 0")
         if self.mode not in (SHED, DEFER):
             raise ValueError(f"mode must be {SHED!r} or {DEFER!r}")
-        if self.defer_s <= 0.0:
+        if not self.defer_s > 0.0:
             raise ValueError("defer_s must be positive")
         if self.max_defers < 0:
             raise ValueError("max_defers must be >= 0")

@@ -103,15 +103,15 @@ class AutoscalePolicy:
             raise ValueError("min_nodes must be at least 1")
         if self.max_nodes < self.min_nodes:
             raise ValueError("max_nodes must be >= min_nodes")
-        if self.tick_s <= 0.0:
+        if not self.tick_s > 0.0:
             raise ValueError("tick_s must be positive")
-        if self.warmup_s < 0.0:
+        if not self.warmup_s >= 0.0:
             raise ValueError("warmup_s must be >= 0")
-        if self.cooldown_s < 0.0:
+        if not self.cooldown_s >= 0.0:
             raise ValueError("cooldown_s must be >= 0")
-        if self.slo_window_s <= 0.0:
+        if not self.slo_window_s > 0.0:
             raise ValueError("slo_window_s must be positive")
-        if self.panic_severity <= 1.0:
+        if not self.panic_severity > 1.0:
             raise ValueError("panic_severity must exceed 1")
         if self.quiet_ticks < 1:
             raise ValueError("quiet_ticks must be at least 1")
@@ -121,7 +121,7 @@ class AutoscalePolicy:
                  "backlog_per_core"),
                 (self.up_violation_rate, self.down_violation_rate,
                  "violation_rate")):
-            if low < 0.0 or high <= low:
+            if not 0.0 <= low < high:
                 raise ValueError(
                     f"{label} bands need 0 <= down < up for hysteresis; "
                     f"got down={low}, up={high}")

@@ -24,14 +24,9 @@ from repro.compiler.multiversion import (
     extract_dominant,
     uniform_pick,
 )
-from repro.compiler.schedule import (
-    Schedule,
-    fit_tiles_to_budget,
-    gemm_traffic_bytes,
-    num_tiles,
-)
+from repro.compiler.schedule import Schedule, num_tiles
 from repro.compiler.space import ScheduleSpace
-from repro.compiler.vendor import VendorLibrary, vendor_schedule
+from repro.compiler.vendor import vendor_schedule
 
 __all__ = [
     "ARTIFACT_SCHEMA", "ArtifactStore", "artifact_key", "compile_layers",
@@ -41,6 +36,5 @@ __all__ = [
     "MultiPassResult", "default_levels", "multi_pass_search",
     "CompiledModel", "ModelCompiler",
     "CompiledLayer", "SinglePassCompiler", "extract_dominant", "uniform_pick",
-    "Schedule", "fit_tiles_to_budget", "gemm_traffic_bytes", "num_tiles",
-    "ScheduleSpace", "VendorLibrary", "vendor_schedule",
+    "Schedule", "num_tiles", "ScheduleSpace", "vendor_schedule",
 ]

@@ -109,11 +109,6 @@ class ModelCompiler:
         self._cache: dict[tuple, CompiledLayer] = {}
 
     @property
-    def context_fingerprint(self) -> str:
-        """Digest of everything a compile depends on besides the layer."""
-        return self._context_fp
-
-    @property
     def unique_layers(self) -> int:
         """Distinct (signature, budget) cells compiled or loaded so far."""
         return len(self._cache)
@@ -138,15 +133,6 @@ class ModelCompiler:
                 scale = max(0.0, 1.0 - excess / above)
                 floored = [b * scale if b > floor else b for b in floored]
         return floored
-
-    def compile_model(self, graph: ModelGraph, qos_s: float) -> CompiledModel:
-        """Run Alg. 1 over every layer of a fused model graph.
-
-        The per-layer budget splits the (margin-discounted) model QoS
-        proportionally to layer op count — Alg. 1 line 3 — floored so
-        every layer stays feasible.
-        """
-        return self.compile_models([(graph, qos_s)])[0]
 
     def compile_models(self, specs: list[tuple[ModelGraph, float]]
                        ) -> list[CompiledModel]:

@@ -74,15 +74,6 @@ class ScheduleSpace:
                         parallel_chunks=parallel_chunks,
                         unroll=unroll).clipped_to(self.gemm)
 
-    def default_schedule(self) -> Schedule:
-        """A generic vendor-library-style schedule: moderate fixed blocking.
-
-        This is deliberately *not* tuned per shape — it stands in for the
-        one-size-fits-all kernels of a closed vendor library (paper Fig. 2).
-        """
-        return self.make(tile_m=64, tile_n=64, tile_k=256,
-                         parallel_chunks=64, unroll=4)
-
     def sample(self, rng: np.random.Generator) -> Schedule:
         """Draw one uniformly random legal schedule."""
         tile_m = int(rng.choice(self.tile_m_candidates()))

@@ -2,19 +2,15 @@
 
 Closed vendor libraries ship a small set of hand-written kernels selected
 by coarse shape heuristics — good everywhere, optimal almost nowhere.
-:class:`VendorLibrary` mimics that: a fixed blocking scheme bucketed only
-by coarse shape class, never tuned per layer.  The searched compiler
+:func:`vendor_schedule` mimics that: a fixed blocking scheme bucketed
+only by coarse shape class, never tuned per layer.  The searched compiler
 (:mod:`repro.compiler.autoscheduler`) should beat it consistently, which
 is the paper's argument for compiler-generated code.
 """
 
 from __future__ import annotations
 
-from repro.models.graph import ModelGraph
 from repro.models.layers import LayerSpec
-from repro.compiler.costmodel import CostModel
-from repro.compiler.library import CompiledModel
-from repro.compiler.multiversion import CompiledLayer
 from repro.compiler.schedule import Schedule
 
 
@@ -37,33 +33,3 @@ def vendor_schedule(layer: LayerSpec) -> Schedule:
         base = Schedule(tile_m=32, tile_n=64, tile_k=128,
                         parallel_chunks=32, unroll=4)
     return base.clipped_to(gemm)
-
-
-class VendorLibrary:
-    """Builds single-version compiled models from the fixed kernels."""
-
-    def __init__(self, cost_model: CostModel, levels: int = 10) -> None:
-        self.cost_model = cost_model
-        self.levels = tuple(i / (levels - 1) for i in range(levels))
-
-    def compile_model(self, graph: ModelGraph, qos_s: float) -> CompiledModel:
-        """Wrap every layer's vendor kernel in the library interface."""
-        cores = self.cost_model.cpu.cores
-        fractions = graph.op_fractions()
-        layers = []
-        for layer, fraction in zip(graph.layers, fractions):
-            schedule = vendor_schedule(layer)
-            row = tuple(self.cost_model.latency(layer, schedule, cores,
-                                                level)
-                        for level in self.levels)
-            layers.append(CompiledLayer(
-                layer=layer,
-                qos_budget_s=max(qos_s * fraction, 1e-7),
-                levels=self.levels,
-                versions=(schedule,),
-                latency_table=(row,),
-                version_for_level=tuple(0 for _ in self.levels),
-                dominant_count=1,
-                sample_count=1,
-            ))
-        return CompiledModel(graph=graph, qos_s=qos_s, layers=tuple(layers))

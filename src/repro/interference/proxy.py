@@ -131,11 +131,6 @@ class PcaReport:
     #: Per-counter share of the first principal component (|loading|).
     dominant_loadings: dict[str, float]
 
-    def dominant_counters(self, threshold: float = 0.01) -> list[str]:
-        """Counters whose first-PC loading share exceeds ``threshold``."""
-        return [name for name, share in self.dominant_loadings.items()
-                if share > threshold]
-
 
 def pca_analysis(samples: list[ProxySample]) -> PcaReport:
     """PCA over counters, weighted by correlation with the slowdown.

@@ -19,12 +19,11 @@ from repro.models.registry import (
     get_entry,
     get_model,
     model_names,
-    models_by_class,
 )
 
 __all__ = [
     "Conv2D", "Dense", "DepthwiseConv2D", "Elementwise", "GemmShape",
     "LayerSpec", "Pool", "fused", "ModelGraph", "chain",
     "ModelEntry", "get_entry", "get_model", "model_names",
-    "models_by_class", "LIGHT", "MEDIUM", "HEAVY",
+    "LIGHT", "MEDIUM", "HEAVY",
 ]

@@ -81,11 +81,6 @@ class LayerSpec:
         """Compulsory traffic: inputs + outputs + weights, each touched once."""
         return self.input_bytes + self.output_bytes + self.weight_bytes
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Flops per compulsory byte; low values mean memory-bound layers."""
-        return self.flops / max(1, self.data_bytes)
-
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         g = self.gemm
         return f"{self.kind}({self.name}, M={g.m}, N={g.n}, K={g.k})"

@@ -97,11 +97,3 @@ def get_model(name: str) -> ModelGraph:
     ``get_entry(name).builder()``.
     """
     return get_entry(name).builder().fuse_elementwise()
-
-
-def models_by_class(workload_class: str) -> list[ModelEntry]:
-    """All Table 2 entries in one workload class (light/medium/heavy)."""
-    if workload_class not in WORKLOAD_CLASSES:
-        raise ValueError(f"unknown workload class {workload_class!r}")
-    return [e for e in _REGISTRY.values()
-            if e.workload_class == workload_class]

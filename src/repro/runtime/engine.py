@@ -121,7 +121,7 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 2:
             raise ValueError("max_batch must be >= 2")
-        if self.max_wait_s < 0.0:
+        if not self.max_wait_s >= 0.0:
             raise ValueError("max_wait_s must be >= 0")
 
 

@@ -32,7 +32,11 @@ from repro.serving.metrics import (
     summarize,
 )
 from repro.serving.server import ServingStack
-from repro.serving.workload import WorkloadSpec, scenario_queries
+from repro.serving.workload import (
+    WorkloadSpec,
+    scenario_queries,
+    single_model,
+)
 
 
 def warm_stack(stack: ServingStack, devices: tuple = ()) -> None:
@@ -109,9 +113,9 @@ def reports_over_qps(stack: ServingStack, policy: str, model_name: str,
     default).  Any other ``scenario`` swaps in its arrival shape;
     ``None`` draws stationary Poisson arrivals.
     """
-    spec = WorkloadSpec(name=model_name, entries=((model_name, 1.0),))
-    return sweep_qps(stack, policy, spec, list(qps_values), count,
-                     seed=seed, workers=workers, scenario=scenario)
+    return sweep_qps(stack, policy, single_model(model_name),
+                     list(qps_values), count, seed=seed, workers=workers,
+                     scenario=scenario)
 
 
 @dataclass(frozen=True)

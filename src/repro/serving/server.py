@@ -37,7 +37,7 @@ from repro.interference.proxy import (
     fit_proxy,
 )
 from repro.models.registry import get_entry, get_model, model_names
-from repro.runtime.engine import BatchPolicy, Engine
+from repro.runtime.engine import Engine
 from repro.runtime.pricing import PricingCache
 from repro.runtime.tasks import Query, block_duration
 from repro.scheduling.base import ModelProfile, build_profile
@@ -240,11 +240,6 @@ class ServingStack:
             [(get_model(name), get_entry(name).qos_s) for name in names])
 
     @property
-    def artifact_store(self) -> ArtifactStore | None:
-        """The persistent store the compiler reads/writes, if any."""
-        return self.compiler.store
-
-    @property
     def price_cache(self) -> PricingCache:
         """Block pricing memo shared by every engine of the own device.
 
@@ -350,29 +345,22 @@ class ServingStack:
         raise ValueError(f"unknown policy {policy!r}; known: {POLICIES}")
 
     def run(self, policy: str, queries: list[Query],
-            incremental: bool = True,
-            tracer=None,
-            batching: BatchPolicy | None = None) -> tuple[list[Query], Engine]:
+            tracer=None) -> tuple[list[Query], Engine]:
         """Simulate one query stream; returns (completed, engine).
-
-        ``incremental=False`` forces the engine's legacy
-        reprice-everything mode — useful only for A/B-verifying that the
-        incremental hot path leaves results unchanged.
 
         ``tracer`` (a :class:`repro.telemetry.Tracer`) records the run's
         block spans, query lifecycle spans, and scheduler decisions; the
         default ``None`` keeps telemetry off and free, and results are
         bit-identical either way.
 
-        ``batching`` enables engine-side dynamic batching
-        (:class:`repro.runtime.engine.BatchPolicy`); the default keeps
-        the legacy open-loop path untouched.  The completion hook is an
-        :class:`Engine` argument (``on_complete``); request-model
-        streams go through :meth:`run_stream`.
+        Engine settings (the legacy ``incremental=False`` mode, dynamic
+        batching through :class:`repro.runtime.engine.BatchPolicy`, the
+        ``on_complete`` hook) are :class:`Engine` arguments: build an
+        engine over ``cost_model`` and ``price_cache`` to set them.
+        Request-model streams go through :meth:`run_stream`.
         """
         engine = Engine(self.cost_model, price_cache=self.price_cache,
-                        incremental=incremental, tracer=tracer,
-                        batching=batching)
+                        tracer=tracer)
         scheduler = self.make_scheduler(policy)
         completed = engine.run(queries, scheduler)
         return completed, engine
@@ -389,8 +377,8 @@ class ServingStack:
         stage *k+1* is submitted the instant stage *k* completes and
         closed-loop tenants issue their next request at each
         completion.  A stream holding only plain ``queries`` behaves
-        exactly like :meth:`run`; dynamic batching goes through
-        :meth:`run` (or an :class:`Engine` directly).
+        exactly like :meth:`run`; dynamic batching goes through an
+        :class:`Engine` directly.
         """
         # The cluster layer sits above serving: import at call time.
         from repro.cluster.fleet import Cluster

@@ -13,6 +13,7 @@ bit, so scenario-threaded experiments subsume the legacy path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,9 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError(f"workload {self.name!r} is empty")
-        if any(weight <= 0 for _, weight in self.entries):
-            raise ValueError(f"workload {self.name!r} has non-positive "
-                             "weights")
+        if not all(0.0 < weight < math.inf for _, weight in self.entries):
+            raise ValueError(f"workload {self.name!r} has non-positive or "
+                             "non-finite weights")
 
     @property
     def models(self) -> list[str]:
@@ -85,7 +86,7 @@ def poisson_queries(compiled: dict[str, CompiledModel], spec: WorkloadSpec,
 
     Every model in ``spec`` must be present in ``compiled``.
     """
-    if qps <= 0:
+    if not qps > 0:
         raise ValueError("qps must be positive")
     if count <= 0:
         raise ValueError("count must be positive")
@@ -138,7 +139,7 @@ def uniform_queries(compiled: dict[str, CompiledModel], model_name: str,
     The paper's granularity study (Fig. 3) uses identical uniform
     arrival times "to eliminate the instability caused by randomness".
     """
-    if qps <= 0:
+    if not qps > 0:
         raise ValueError("qps must be positive")
     if count <= 0:
         raise ValueError("count must be positive")

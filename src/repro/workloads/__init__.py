@@ -26,7 +26,6 @@ from repro.workloads.arrivals import (
     MMPPArrivals,
     PoissonArrivals,
     TenantChurnArrivals,
-    TraceArrivals,
     UniformArrivals,
 )
 from repro.workloads.requests import (
@@ -40,7 +39,6 @@ from repro.workloads.requests import (
 from repro.workloads.scenario import (
     SCENARIO_NAMES,
     ScenarioSpec,
-    default_scenario,
     get_scenario,
     register_scenario,
     resolve_scenario,
@@ -55,10 +53,9 @@ from repro.workloads.trace import (
 __all__ = [
     "ArrivalProcess", "PoissonArrivals", "UniformArrivals",
     "MMPPArrivals", "DiurnalArrivals", "FlashCrowdArrivals",
-    "TenantChurnArrivals", "TraceArrivals",
+    "TenantChurnArrivals",
     "ScenarioSpec", "register_scenario", "get_scenario",
-    "resolve_scenario", "scenario_names", "default_scenario",
-    "SCENARIO_NAMES",
+    "resolve_scenario", "scenario_names", "SCENARIO_NAMES",
     "ArrivalTrace", "record_trace", "TRACE_SCHEMA",
     "ClosedLoopSpec", "ClosedLoopTenant", "PipelineQuery",
     "PipelineSpec", "RequestStream", "build_pipeline",

@@ -51,7 +51,7 @@ class ArrivalProcess(abc.ABC):
         """``count`` increasing arrival instants with mean rate ``qps``."""
 
     def _validate(self, qps: float, count: int) -> None:
-        if qps <= 0:
+        if not qps > 0:
             raise ValueError("qps must be positive")
         if count <= 0:
             raise ValueError("count must be positive")
@@ -112,11 +112,11 @@ class MMPPArrivals(ArrivalProcess):
     cycles: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.burst_ratio <= 1.0:
+        if not self.burst_ratio > 1.0:
             raise ValueError("burst_ratio must exceed 1")
         if not 0.0 < self.burst_fraction < 1.0:
             raise ValueError("burst_fraction must be in (0, 1)")
-        if self.cycles <= 0.0:
+        if not self.cycles > 0.0:
             raise ValueError("cycles must be positive")
 
     def state_rates(self, qps: float) -> tuple[float, float]:
@@ -170,7 +170,7 @@ class DiurnalArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if not 0.0 < self.amplitude < 1.0:
             raise ValueError("amplitude must be in (0, 1)")
-        if self.periods <= 0.0:
+        if not self.periods > 0.0:
             raise ValueError("periods must be positive")
 
     def period_s(self, qps: float, count: int) -> float:
@@ -213,11 +213,11 @@ class FlashCrowdArrivals(ArrivalProcess):
     width_frac: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.spike_ratio <= 1.0:
+        if not self.spike_ratio > 1.0:
             raise ValueError("spike_ratio must exceed 1")
-        if self.start_frac < 0.0:
+        if not self.start_frac >= 0.0:
             raise ValueError("start_frac must be non-negative")
-        if self.width_frac <= 0.0:
+        if not self.width_frac > 0.0:
             raise ValueError("width_frac must be positive")
 
     def spike_window(self, qps: float, count: int) -> tuple[float, float]:
@@ -264,7 +264,7 @@ class TenantChurnArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if self.mean_tenants < 1:
             raise ValueError("mean_tenants must be at least 1")
-        if self.turnovers <= 0.0:
+        if not self.turnovers > 0.0:
             raise ValueError("turnovers must be positive")
 
     def sample_times(self, qps: float, count: int,
@@ -291,29 +291,3 @@ class TenantChurnArrivals(ArrivalProcess):
             elif active > 0:
                 active -= 1
         return times
-
-
-@dataclass(frozen=True)
-class TraceArrivals(ArrivalProcess):
-    """Replay of recorded arrival instants (see ``repro.workloads.trace``).
-
-    Ignores ``qps`` and the generator entirely: the times are the trace.
-    ``count`` may truncate the trace but never extend it.
-    """
-
-    times: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.times:
-            raise ValueError("trace has no arrivals")
-        if not all(map(math.isfinite, self.times)):
-            raise ValueError("trace times must be finite")
-        if any(b < a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("trace times must be non-decreasing")
-
-    def sample_times(self, qps: float, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-        if count > len(self.times):
-            raise ValueError(
-                f"trace holds {len(self.times)} arrivals, {count} asked")
-        return np.array(self.times[:count], dtype=float)

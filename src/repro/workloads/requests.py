@@ -155,7 +155,7 @@ class ClosedLoopSpec:
             raise ValueError("tenants must be >= 1")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if self.think_s < 0:
+        if not self.think_s >= 0:
             raise ValueError("think_s must be >= 0")
 
 

@@ -73,7 +73,7 @@ class ScenarioSpec:
                 raise ValueError(
                     f"scenario {self.name!r}: unknown workload class "
                     f"{workload_class!r}")
-            if scale <= 0:
+            if not scale > 0:
                 raise ValueError(f"scenario {self.name!r}: QoS scale for "
                                  f"{workload_class!r} must be positive")
 
@@ -180,10 +180,9 @@ class ScenarioSpec:
 _REGISTRY: dict[str, ScenarioSpec] = {}
 
 
-def register_scenario(spec: ScenarioSpec,
-                      overwrite: bool = False) -> ScenarioSpec:
+def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     """Add a scenario to the global registry (returned for chaining)."""
-    if not overwrite and spec.name in _REGISTRY:
+    if spec.name in _REGISTRY:
         raise ValueError(f"scenario {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
     return spec
@@ -210,11 +209,6 @@ def resolve_scenario(scenario) -> ScenarioSpec | None:
 
 def scenario_names() -> list[str]:
     return sorted(_REGISTRY)
-
-
-def default_scenario() -> ScenarioSpec:
-    """The library default — the paper's stationary Poisson stream."""
-    return get_scenario("poisson")
 
 
 # The built-in library.  Mix-agnostic shapes first: they compose with

@@ -218,7 +218,7 @@ class TestCompilerStore:
             compiler = ModelCompiler(
                 cost_model, SinglePassCompiler(cost_model, trials=64,
                                                seed=3), store=store)
-            return compiler, compiler.compile_model(graph, qos)
+            return compiler, compiler.compile_models([(graph, qos)])[0]
 
         cold_compiler, cold = build(ArtifactStore(tmp_path / "s"))
         warm_compiler, warm = build(ArtifactStore(tmp_path / "s"))
@@ -239,8 +239,8 @@ class TestCompilerStore:
             cost_model,
             SinglePassCompiler(cost_model, trials=64, seed=3),
             store=ArtifactStore(tmp_path / "s"))
-        assert (_tables(plain.compile_model(graph, qos))
-                == _tables(stored.compile_model(graph, qos)))
+        assert (_tables(plain.compile_models([(graph, qos)])[0])
+                == _tables(stored.compile_models([(graph, qos)])[0]))
 
     def test_dedup_across_models_sharing_signatures(self, cost_model):
         # resnet50 and ssd_resnet34 share backbone conv signatures at
@@ -272,13 +272,13 @@ class TestCompilerStore:
         first = ModelCompiler(
             cost_model, SinglePassCompiler(cost_model, trials=64, seed=3),
             store=store)
-        reference = first.compile_model(graph, qos)
+        reference = first.compile_models([(graph, qos)])[0]
         for entry in store._disk_entries():
             entry.write_text("{broken")
         recovered_compiler = ModelCompiler(
             cost_model, SinglePassCompiler(cost_model, trials=64, seed=3),
             store=ArtifactStore(tmp_path / "s"))
-        recovered = recovered_compiler.compile_model(graph, qos)
+        recovered = recovered_compiler.compile_models([(graph, qos)])[0]
         assert recovered_compiler.stats.store_hits == 0
         assert recovered_compiler.stats.compiled_fresh > 0
         assert _tables(recovered) == _tables(reference)
@@ -292,8 +292,8 @@ class TestCompilerStore:
         parallel = ModelCompiler(
             cost_model, SinglePassCompiler(cost_model, trials=64, seed=3),
             workers=4)
-        assert (_tables(serial.compile_model(graph, qos))
-                == _tables(parallel.compile_model(graph, qos)))
+        assert (_tables(serial.compile_models([(graph, qos)])[0])
+                == _tables(parallel.compile_models([(graph, qos)])[0]))
 
     def test_compile_layers_helper_orders_results(self, single_pass,
                                                   small_layers):
@@ -440,8 +440,8 @@ class TestServingStackStore:
         stack = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              use_proxy=False)
         stack.ensure_compiled()
-        assert stack.artifact_store is not None
-        assert len(stack.artifact_store.entries()) > 0
+        assert stack.compiler.store is not None
+        assert len(stack.compiler.store.entries()) > 0
         # A second stack with identical knobs compiles nothing.
         again = ServingStack(models=["mobilenet_v2"], trials=64, seed=7,
                              use_proxy=False)

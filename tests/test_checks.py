@@ -244,7 +244,7 @@ class TestCli:
     def test_json_output(self, tmp_path, capsys):
         name = self._bad_copy(tmp_path, "wallclock")
         code = checks_main(["--root", str(tmp_path), "--rule",
-                            "no-wallclock", "--json", name])
+                            "no-wallclock", "--format", "json", name])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 4

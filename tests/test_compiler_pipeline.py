@@ -20,7 +20,7 @@ from repro.compiler.multiversion import (
 )
 from repro.compiler.schedule import Schedule
 from repro.compiler.space import ScheduleSpace
-from repro.compiler.vendor import VendorLibrary, vendor_schedule
+from repro.compiler.vendor import vendor_schedule
 
 
 @pytest.fixture(scope="module")
@@ -291,14 +291,14 @@ class TestSinglePassCompiler:
 class TestModelCompiler:
     def test_compiled_model_aligns_with_graph(self, compiler):
         graph = get_model("mobilenet_v2")
-        compiled = compiler.compile_model(graph, get_entry(
-            "mobilenet_v2").qos_s)
+        compiled = compiler.compile_models(
+            [(graph, get_entry("mobilenet_v2").qos_s)])[0]
         assert len(compiled) == len(graph)
         assert compiled.name == "mobilenet_v2"
 
     def test_signature_cache_shares_tables(self, compiler):
         graph = get_model("resnet50")
-        compiled = compiler.compile_model(graph, 0.015)
+        compiled = compiler.compile_models([(graph, 0.015)])[0]
         # Repeated bottleneck convs share shapes -> identical tables.
         by_sig = {}
         for entry in compiled.layers:
@@ -315,7 +315,7 @@ class TestModelCompiler:
 
     def test_rejects_zero_qos(self, compiler):
         with pytest.raises(ValueError):
-            compiler.compile_model(get_model("mobilenet_v2"), 0.0)
+            compiler.compile_models([(get_model("mobilenet_v2"), 0.0)])
 
 
 class TestVendorLibrary:
@@ -323,14 +323,9 @@ class TestVendorLibrary:
         for layer in small_layers:
             assert vendor_schedule(layer).is_legal_for(layer.gemm)
 
-    def test_vendor_models_single_version(self, cost_model):
-        library = VendorLibrary(cost_model)
-        compiled = library.compile_model(get_model("mobilenet_v2"), 0.010)
-        assert all(e.version_count == 1 for e in compiled.layers)
-
     def test_tuned_beats_vendor(self, cost_model, compiler):
         graph = get_model("mobilenet_v2")
-        tuned = compiler.compile_model(graph, 0.010)
+        tuned = compiler.compile_models([(graph, 0.010)])[0]
         vendor_total = sum(
             cost_model.latency(layer, vendor_schedule(layer), 64, 0.0)
             for layer in graph.layers)

@@ -172,7 +172,9 @@ class TestCountersAndPressure:
     def test_pressure_contribution_in_unit_interval(self, model,
                                                     small_layers):
         for layer in small_layers:
-            sched = ScheduleSpace.for_layer(layer).default_schedule()
+            sched = ScheduleSpace.for_layer(layer).make(
+                tile_m=64, tile_n=64, tile_k=256, parallel_chunks=64,
+                unroll=4)
             assert 0.0 <= model.pressure_contribution(layer, sched,
                                                       16) <= 1.0
 
@@ -186,7 +188,8 @@ class TestCountersAndPressure:
 
     def test_memory_bound_layer_accounts_memory_time(self, model):
         pool = Pool(name="p", height=56, width=56, channels=256)
-        sched = ScheduleSpace.for_layer(pool).default_schedule()
+        sched = ScheduleSpace.for_layer(pool).make(
+            tile_m=64, tile_n=64, tile_k=256, parallel_chunks=64, unroll=4)
         exe = model.execution(pool, sched, 16)
         assert exe.mem_s > 0
         assert exe.total_s >= exe.mem_s
@@ -215,7 +218,8 @@ DUO = WorkloadSpec(name="duo", entries=(("mobilenet_v2", 1.0),
 class TestMemo:
     def test_result_independent_of_call_history(self, conv_layer):
         """A near-equal earlier interference must not serve its result."""
-        schedule = ScheduleSpace.for_layer(conv_layer).default_schedule()
+        schedule = ScheduleSpace.for_layer(conv_layer).make(
+            tile_m=64, tile_n=64, tile_k=256, parallel_chunks=64, unroll=4)
         warm = CostModel(THREADRIPPER_3990X)
         warm.execution(conv_layer, schedule, 16, 0.35)
         fresh = CostModel(THREADRIPPER_3990X)

@@ -53,8 +53,11 @@ class TestIncrementalEquivalence:
         for incremental in (False, True):
             queries = poisson_queries(light_stack.compiled, DUO_SPEC,
                                       400, 120, seed=7)
-            completed, engine = light_stack.run(policy, queries,
-                                                incremental=incremental)
+            engine = Engine(light_stack.cost_model,
+                            price_cache=light_stack.price_cache,
+                            incremental=incremental)
+            completed = engine.run(queries,
+                                   light_stack.make_scheduler(policy))
             reports[incremental] = summarize(completed, engine.metrics,
                                              400)
         _assert_reports_equal(reports[False], reports[True])
@@ -64,8 +67,10 @@ class TestIncrementalEquivalence:
         for incremental in (False, True):
             queries = poisson_queries(light_stack.compiled, DUO_SPEC,
                                       400, 120, seed=7)
-            _, engine = light_stack.run("veltair_full", queries,
-                                        incremental=incremental)
+            engine = Engine(light_stack.cost_model,
+                            price_cache=light_stack.price_cache,
+                            incremental=incremental)
+            engine.run(queries, light_stack.make_scheduler("veltair_full"))
             counts[incremental] = (engine.metrics.finish_events_pushed,
                                    engine.metrics.repricings)
         assert counts[True][0] < counts[False][0]

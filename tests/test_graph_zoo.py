@@ -13,8 +13,8 @@ from repro.models.registry import (
     get_entry,
     get_model,
     model_names,
-    models_by_class,
 )
+from repro.serving.workload import class_mix
 
 
 def _tiny_chain():
@@ -149,13 +149,13 @@ class TestRegistry:
             get_entry("alexnet")
 
     def test_workload_classes_cover_table2(self):
-        assert len(models_by_class(LIGHT)) == 3
-        assert len(models_by_class(MEDIUM)) == 2
-        assert len(models_by_class(HEAVY)) == 2
+        assert len(class_mix(LIGHT).models) == 3
+        assert len(class_mix(MEDIUM).models) == 2
+        assert len(class_mix(HEAVY).models) == 2
 
     def test_unknown_class_raises(self):
         with pytest.raises(ValueError):
-            models_by_class("extreme")
+            class_mix("extreme")
 
     def test_model_cache_returns_same_object(self):
         assert get_model("resnet50") is get_model("resnet50")

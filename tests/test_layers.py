@@ -139,8 +139,3 @@ class TestSignature:
                       out_channels=2, kernel_h=1, kernel_w=1)
         pool = Pool(name="b", height=4, width=4, channels=2)
         assert conv.signature != pool.signature
-
-    def test_arithmetic_intensity_positive(self):
-        conv = Conv2D(name="a", height=14, width=14, in_channels=64,
-                      out_channels=64)
-        assert conv.arithmetic_intensity > 0

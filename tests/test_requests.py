@@ -114,9 +114,11 @@ class TestBatchPolicy:
                                   count=32, seed=5)
         for query in queries:
             query.qos_s *= 8.0
-        completed, engine = light_stack.run(
-            "veltair_full", queries,
-            batching=BatchPolicy(max_batch=4, max_wait_s=0.005))
+        engine = Engine(light_stack.cost_model,
+                        price_cache=light_stack.price_cache,
+                        batching=BatchPolicy(max_batch=4, max_wait_s=0.005))
+        completed = engine.run(queries,
+                               light_stack.make_scheduler("veltair_full"))
         # Every member completes individually, with its own latency.
         assert len(completed) == 32
         assert sorted(q.query_id for q in completed) == list(range(32))

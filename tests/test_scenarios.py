@@ -34,13 +34,13 @@ from repro.workloads import (
     PoissonArrivals,
     ScenarioSpec,
     TenantChurnArrivals,
-    TraceArrivals,
     UniformArrivals,
     get_scenario,
     record_trace,
     register_scenario,
     scenario_names,
 )
+from repro.workloads.trace import TraceEntry
 
 _SPEC = WorkloadSpec(name="pair", entries=(("mobilenet_v2", 2.0),
                                            ("googlenet", 1.0)))
@@ -167,19 +167,24 @@ class TestArrivalValidation:
         with pytest.raises(ValueError):
             FlashCrowdArrivals(width_frac=0.0)
 
-    def test_trace_arrivals(self):
+    def test_trace_arrivals(self, light_stack):
+        def trace(*times):
+            return ArrivalTrace(name="t", entries=tuple(
+                TraceEntry(arrival_s=t, model="googlenet", qos_s=0.02)
+                for t in times))
+
         with pytest.raises(ValueError):
-            TraceArrivals(times=())
+            trace()
         with pytest.raises(ValueError):
-            TraceArrivals(times=(2.0, 1.0))
+            trace(2.0, 1.0)
         for bad in ((0.1, math.nan, 0.05), (0.1, math.inf)):
             with pytest.raises(ValueError, match="finite"):
-                TraceArrivals(times=bad)
-        process = TraceArrivals(times=(0.5, 1.0, 1.5))
+                trace(*bad)
+        recorded = trace(0.5, 1.0, 1.5)
         with pytest.raises(ValueError):
-            process.sample_times(10.0, 4, make_rng(0))
-        out = process.sample_times(10.0, 2, make_rng(0))
-        assert list(out) == [0.5, 1.0]
+            recorded.replay(light_stack.compiled, count=4)
+        out = recorded.replay(light_stack.compiled, count=2)
+        assert [q.arrival_s for q in out] == [0.5, 1.0]
 
 
 class TestScenarioSpec:

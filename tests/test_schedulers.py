@@ -370,9 +370,10 @@ class TestGoldenOutcomes:
     def test_outcome_is_pinned(self, light_stack, policy, batched):
         queries = poisson_queries(light_stack.compiled, _mix_spec(), 400,
                                   60, seed=3)
-        done, engine = light_stack.run(
-            policy, queries,
+        engine = Engine(
+            light_stack.cost_model, price_cache=light_stack.price_cache,
             batching=BatchPolicy(max_batch=4) if batched else None)
+        done = engine.run(queries, light_stack.make_scheduler(policy))
         crc = 0
         for query in done:
             crc = zlib.crc32(struct.pack("<qd", query.query_id,
