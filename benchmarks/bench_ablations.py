@@ -1,4 +1,4 @@
-"""Ablations called out in DESIGN.md (beyond the paper's own figures).
+"""Ablations beyond the paper's own figures (see README.md).
 
 * threshold policy: the dynamic Sec. 4.3 threshold vs pinned thresholds;
 * interference estimation: counter proxy vs oracle (simulator pressure);

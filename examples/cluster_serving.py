@@ -52,8 +52,10 @@ def main() -> None:
               f"p99={report.p99_latency_s * 1e3:6.1f} ms  "
               f"imbalance={report.load_imbalance:.2f}  "
               f"assigned={shares}")
-    print(f"(one compile pass for the whole fleet: "
-          f"artifact_builds={stack.artifact_builds})\n")
+    layers = sum(len(model) for model in stack.compiled.values())
+    print(f"(one compile pass for the whole fleet: the compiler saw "
+          f"{stack.compiler.stats.layers_total} layers for {layers} model "
+          f"layers)\n")
 
     overload = 2.0 * qps
     print(f"Overload at {overload:.0f} QPS, pressure_aware routing:")

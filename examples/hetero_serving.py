@@ -56,8 +56,10 @@ def main() -> None:
         print(f"  {router:18s} QoS sat={report.satisfaction_rate:6.1%}  "
               f"p99={report.p99_latency_s * 1e3:6.1f} ms  "
               f"assigned={shares}")
-    print(f"(one compile pass for CPUs and the accelerator: "
-          f"artifact_builds={stack.artifact_builds})\n")
+    layers = sum(len(model) for model in stack.compiled.values())
+    print(f"(one compile pass for CPUs and the accelerator: the compiler "
+          f"saw {stack.compiler.stats.layers_total} layers for {layers} "
+          f"model layers)\n")
 
     accel_qps = 70.0
     runtime = stack.runtime_for(DATACENTER_ACCEL_80)

@@ -22,32 +22,3 @@ Layers:
   (``--quick | --full``, ``--only``, ``--check``,
   ``--update-baselines``, ``--list``).
 """
-
-from repro.bench.compare import (
-    Regression,
-    Tolerance,
-    compare_result,
-    write_baseline,
-)
-from repro.bench.registry import (
-    Benchmark,
-    register_benchmark,
-    registered_benchmarks,
-    select_benchmarks,
-)
-from repro.bench.results import (
-    RESULT_SCHEMA,
-    BenchResult,
-    load_result,
-    slugify,
-    validate_payload,
-    write_result,
-)
-
-__all__ = [
-    "BenchResult", "RESULT_SCHEMA", "write_result", "load_result",
-    "validate_payload", "slugify",
-    "Benchmark", "register_benchmark",
-    "registered_benchmarks", "select_benchmarks",
-    "Tolerance", "Regression", "compare_result", "write_baseline",
-]

@@ -77,7 +77,6 @@ class Benchmark:
     quick: bool = False
     runner: Callable[[BenchContext], list[BenchResult]] | None = None
     path: str | None = None
-    script_args: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
     tolerances: Mapping[str, Tolerance] = field(default_factory=dict)
     default_tolerance: Tolerance = field(default_factory=Tolerance)

@@ -23,9 +23,8 @@ stdlib ``ast`` only.
 
 from __future__ import annotations
 
-from repro.checks.config import CheckConfig, RuleScope
-from repro.checks.core import (Finding, Rule, SourceModule,
-                               iter_python_files, run_checks)
+from repro.checks.config import CheckConfig
+from repro.checks.core import Rule, run_checks
 from repro.checks.hashing import HashRule
 from repro.checks.iteration import IterationRule
 from repro.checks.rng import RngRule
@@ -34,11 +33,8 @@ from repro.checks.tracer import TracerRule
 from repro.checks.wallclock import WallclockRule
 
 __all__ = [
-    "CheckConfig", "RuleScope", "Finding", "Rule", "SourceModule",
-    "run_checks", "iter_python_files", "all_rules", "rule_by_name",
+    "CheckConfig", "run_checks", "all_rules", "rule_by_name",
     "update_snapshot",
-    "WallclockRule", "HashRule", "RngRule", "TracerRule",
-    "IterationRule", "SchemaRule",
 ]
 
 

@@ -13,58 +13,17 @@ out.  See ``examples/cluster_serving.py`` and
 ``benchmarks/bench_autoscale.py`` for the scale and frontier studies.
 """
 
-from repro.cluster.admission import (
-    ADMIT,
-    DEFER,
-    SHED,
-    AdmissionController,
-    AdmissionPolicy,
-    fleet_outstanding_per_core,
-    fleet_pressure,
-)
+from repro.cluster.admission import AdmissionPolicy
 from repro.cluster.autoscale import (
-    DRAIN,
-    DRAINING,
     JOIN,
-    LIVE,
     PROVISION,
     RETIRE,
     RETIRED,
-    WARMING,
-    AutoscaleController,
     AutoscalePolicy,
-    FleetSignals,
-    ScalingEvent,
 )
-from repro.cluster.experiments import (
-    AutoscalePoint,
-    ClusterCapacityResult,
-    cluster_capacity,
-    sweep_autoscale,
-)
-from repro.cluster.fleet import Cluster, ClusterNode
-from repro.cluster.metrics import (
-    ClusterReport,
-    NodeReport,
-    PipelineRollup,
-    SessionReport,
-    StageReport,
-    pipeline_rollup,
-    rollup,
-    session_reports,
-)
-from repro.cluster.router import (
-    ROUTERS,
-    DeviceAffinityRouter,
-    JoinShortestQueueRouter,
-    LeastOutstandingRouter,
-    PressureAwareRouter,
-    RoundRobinRouter,
-    Router,
-    make_router,
-)
+from repro.cluster.experiments import cluster_capacity, sweep_autoscale
+from repro.cluster.fleet import Cluster
 from repro.cluster.spec import (
-    DEFAULT_NODE_POLICY,
     ClusterSpec,
     NodeSpec,
     hetero_fleet,
@@ -73,23 +32,9 @@ from repro.cluster.spec import (
 )
 
 __all__ = [
-    "ADMIT", "DEFER", "SHED",
-    "AdmissionController", "AdmissionPolicy",
-    "fleet_outstanding_per_core", "fleet_pressure",
-    "DRAIN", "DRAINING", "JOIN", "LIVE", "PROVISION", "RETIRE",
-    "RETIRED", "WARMING",
-    "AutoscaleController", "AutoscalePolicy", "FleetSignals",
-    "ScalingEvent",
-    "AutoscalePoint", "ClusterCapacityResult", "cluster_capacity",
-    "sweep_autoscale",
-    "Cluster", "ClusterNode",
-    "ClusterReport", "NodeReport", "rollup",
-    "PipelineRollup", "SessionReport", "StageReport",
-    "pipeline_rollup", "session_reports",
-    "ROUTERS", "Router", "make_router",
-    "RoundRobinRouter", "LeastOutstandingRouter",
-    "JoinShortestQueueRouter", "PressureAwareRouter",
-    "DeviceAffinityRouter",
-    "DEFAULT_NODE_POLICY", "ClusterSpec", "NodeSpec",
-    "homogeneous", "mixed_fleet", "hetero_fleet",
+    "AdmissionPolicy",
+    "JOIN", "PROVISION", "RETIRE", "RETIRED", "AutoscalePolicy",
+    "cluster_capacity", "sweep_autoscale",
+    "Cluster",
+    "ClusterSpec", "NodeSpec", "homogeneous", "mixed_fleet", "hetero_fleet",
 ]

@@ -56,7 +56,7 @@ class AdmissionPolicy:
             raise ValueError(f"mode must be {SHED!r} or {DEFER!r}")
         if not self.defer_s > 0.0:
             raise ValueError("defer_s must be positive")
-        if self.max_defers < 0:
+        if not self.max_defers >= 0:
             raise ValueError("max_defers must be >= 0")
 
 

@@ -99,9 +99,9 @@ class AutoscalePolicy:
     quiet_ticks: int = 3
 
     def __post_init__(self) -> None:
-        if self.min_nodes < 1:
+        if not self.min_nodes >= 1:
             raise ValueError("min_nodes must be at least 1")
-        if self.max_nodes < self.min_nodes:
+        if not self.max_nodes >= self.min_nodes:
             raise ValueError("max_nodes must be >= min_nodes")
         if not self.tick_s > 0.0:
             raise ValueError("tick_s must be positive")
@@ -113,7 +113,7 @@ class AutoscalePolicy:
             raise ValueError("slo_window_s must be positive")
         if not self.panic_severity > 1.0:
             raise ValueError("panic_severity must exceed 1")
-        if self.quiet_ticks < 1:
+        if not self.quiet_ticks >= 1:
             raise ValueError("quiet_ticks must be at least 1")
         for high, low, label in (
                 (self.up_pressure, self.down_pressure, "pressure"),

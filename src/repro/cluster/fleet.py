@@ -179,7 +179,7 @@ class Cluster:
     def serve_stream(self, stream: RequestStream,
                      offered_qps: float | None = None,
                      tracer=None) -> ClusterReport:
-        """Serve a :class:`repro.workloads.RequestStream` fleet-wide.
+        """Serve a :class:`repro.workloads.requests.RequestStream` fleet-wide.
 
         The request-model twin of :meth:`serve`: pipeline stage *k+1*
         is offered (through admission and routing, like any query) the
@@ -492,7 +492,7 @@ class _FleetRun:
         Appended once the serve has finished — identical data to inline
         emission, and the controller itself stays untouched by
         telemetry.  The ``fleet.signals`` counters follow
-        :data:`repro.telemetry.FLEET_SIGNAL_FIELDS`, making a recorded
+        :data:`repro.telemetry.tracer.FLEET_SIGNAL_FIELDS`, making a recorded
         trace double as an offline training set for learned routers
         (one sample per control tick, with the ``scale.*`` decisions
         interleaved by timestamp).

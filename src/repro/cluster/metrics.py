@@ -98,7 +98,8 @@ class SessionReport:
 
 
 def pipeline_rollup(pipelines) -> PipelineRollup | None:
-    """Fold :class:`~repro.workloads.PipelineQuery` outcomes fleet-wide."""
+    """Fold :class:`~repro.workloads.requests.PipelineQuery` outcomes
+    fleet-wide."""
     if not pipelines:
         return None
     stage_count = max(len(pl.stages) for pl in pipelines)
@@ -134,7 +135,8 @@ def pipeline_rollup(pipelines) -> PipelineRollup | None:
 
 
 def session_reports(tenants) -> tuple[SessionReport, ...]:
-    """Per-tenant rollups from :class:`~repro.workloads.ClosedLoopTenant`."""
+    """Per-tenant rollups from
+    :class:`~repro.workloads.requests.ClosedLoopTenant` sessions."""
     reports = []
     for tenant in tenants:
         latencies = [query.latency_s for query in tenant.issued

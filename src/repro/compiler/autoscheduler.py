@@ -67,7 +67,7 @@ class AutoScheduler:
 
     def __init__(self, cost_model: CostModel, population: int = 64,
                  elite_fraction: float = 0.25) -> None:
-        if population < 4:
+        if not population >= 4:
             raise ValueError("population must be at least 4")
         if not 0.0 < elite_fraction < 1.0:
             raise ValueError("elite_fraction must be in (0, 1)")

@@ -6,16 +6,21 @@ Pipeline per layer (Fig. 9b-d):
 2. drop samples that cannot meet the layer's QoS budget (the per-layer
    budget is the model QoS split proportionally to op count — Alg. 1
    line 3);
-3. extract the *dominant* implementations: the Pareto-minimal set on
-   (blocking size, parallelism).  Both metrics price a contended
-   resource — blocking claims shared LLC, parallelism claims cores — so
-   points with another implementation below-left of them are never the
-   cheapest way to meet QoS.  The QoS filter is what bends this frontier:
-   cheap-on-both points are too slow and have already been removed;
-4. pick up to V versions uniformly along the frontier (by blocking size);
+3. take the per-level winners as candidate versions: at each
+   interference level, the qualified sample with the lowest latency at
+   the tuning core grant, deduplicated (the paper's Sec. 3.3 per-level
+   profiling, recovered from the one pass's samples);
+4. when there are more than V candidates, keep V spread uniformly by
+   blocking size (:func:`uniform_pick`);
 5. test the picks across interference levels and drop versions whose
    removal keeps the per-level best latency within ``keep_threshold`` of
    the full set — most layers need fewer than V versions (paper Fig. 7b).
+
+Alg. 1 instead picks the V versions uniformly along the *dominant*
+frontier, the Pareto-minimal set on (blocking size, parallelism)
+(``ExtractDominant``).  Here :func:`extract_dominant` computes that
+frontier only for the ``dominant_count`` diagnostic; it chooses no
+version.
 """
 
 from __future__ import annotations

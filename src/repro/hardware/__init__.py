@@ -1,26 +1,5 @@
 """Hardware substrate: platform specs and synthetic performance counters."""
 
-from repro.hardware.platform import (
-    DATACENTER_ACCEL_80,
-    EDGE_NODE_32,
-    PRODUCTION_SERVER_256,
-    THREADRIPPER_3990X,
-    AcceleratorSpec,
-    CacheSpec,
-    CpuSpec,
-    DeviceSpec,
-    MemorySpec,
-    datacenter_accelerator_80,
-    edge_node_32,
-    production_server_256,
-    threadripper_3990x,
-)
+from repro.hardware.platform import DATACENTER_ACCEL_80, THREADRIPPER_3990X
 
-__all__ = [
-    "CacheSpec", "CpuSpec", "MemorySpec",
-    "DeviceSpec", "AcceleratorSpec",
-    "THREADRIPPER_3990X", "threadripper_3990x",
-    "EDGE_NODE_32", "edge_node_32",
-    "PRODUCTION_SERVER_256", "production_server_256",
-    "DATACENTER_ACCEL_80", "datacenter_accelerator_80",
-]
+__all__ = ["THREADRIPPER_3990X", "DATACENTER_ACCEL_80"]

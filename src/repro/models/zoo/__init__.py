@@ -1,14 +1,1 @@
 """Concrete model builders (one module per paper Table 2 model)."""
-
-from repro.models.zoo.bert import bert_large
-from repro.models.zoo.efficientnet import efficientnet_b0
-from repro.models.zoo.googlenet import googlenet
-from repro.models.zoo.mobilenet import mobilenet_v2
-from repro.models.zoo.resnet import resnet50
-from repro.models.zoo.ssd import ssd_resnet34
-from repro.models.zoo.yolo import tiny_yolov2
-
-__all__ = [
-    "bert_large", "efficientnet_b0", "googlenet", "mobilenet_v2",
-    "resnet50", "ssd_resnet34", "tiny_yolov2",
-]

@@ -119,7 +119,7 @@ class BatchPolicy:
     max_wait_s: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.max_batch < 2:
+        if not self.max_batch >= 2:
             raise ValueError("max_batch must be >= 2")
         if not self.max_wait_s >= 0.0:
             raise ValueError("max_wait_s must be >= 0")
@@ -219,8 +219,9 @@ class Engine:
         #: Scheduler bound by :meth:`begin` (or :meth:`run`); the drive
         #: loop dispatches through it after every event.
         self._scheduler: Scheduler | None = None
-        #: Telemetry sink (``repro.telemetry`` Tracer/NodeTracer) or
-        #: None.  Never read by the simulation — observational only.
+        #: Telemetry sink (a ``repro.telemetry.tracer.Tracer``, possibly
+        #: node-bound) or None.  Never read by the simulation —
+        #: observational only.
         self.tracer = tracer
         #: Dynamic batching policy, or None (the default) for the
         #: legacy one-query-per-block-stream arrival path.

@@ -51,7 +51,7 @@ class PricingCache:
                  "owner_token", "_data")
 
     def __init__(self, max_entries: int = 1 << 18) -> None:
-        if max_entries <= 0:
+        if not max_entries > 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.hits = 0

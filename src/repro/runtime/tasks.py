@@ -16,9 +16,9 @@ class Query:
 
     Beyond the open-loop basics, a query may carry request-model
     context: ``session`` ties it to a closed-loop tenant
-    (:class:`repro.workloads.ClosedLoopTenant`), ``stage`` marks its
+    (:class:`repro.workloads.requests.ClosedLoopTenant`), ``stage`` marks its
     position in a pipeline chain
-    (:class:`repro.workloads.PipelineQuery`), and ``batch`` > 1 means
+    (:class:`repro.workloads.requests.PipelineQuery`), and ``batch`` > 1 means
     the engine fused several same-model queries into one block stream
     (see :class:`BatchQuery`).  All three default to the plain
     single-request lifecycle, which keeps every pre-existing

@@ -21,7 +21,7 @@ class FixedBlockScheduler(SpatialScheduler):
     admit_full_grant_only = True
 
     def __init__(self, cost_model, profiles, block_size: int) -> None:
-        if block_size <= 0:
+        if not block_size > 0:
             raise ValueError("block_size must be positive")
         super().__init__(cost_model, profiles)
         self.block_size = block_size

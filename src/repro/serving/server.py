@@ -210,11 +210,6 @@ class ServingStack:
         #: that model (deduplicated against everything compiled so
         #: far); iteration forces the full set in one batch.
         self.compiled = _LazyArtifacts(names, self._compile)
-        #: Compile passes this stack has performed.  Stays at 1 for the
-        #: stack's whole life: models compile lazily *within* the one
-        #: pass, and per-node runtimes re-profile but never re-compile
-        #: (the cluster benchmark asserts exactly this).
-        self.artifact_builds = 1
 
         self._proxy_scenarios = proxy_scenarios
         self._use_proxy = use_proxy
@@ -367,7 +362,7 @@ class ServingStack:
 
     def run_stream(self, policy: str, stream,
                    tracer=None) -> StreamOutcome:
-        """Drive a :class:`repro.workloads.RequestStream` to completion.
+        """Drive a :class:`~repro.workloads.requests.RequestStream` to the end.
 
         The request-model counterpart of :meth:`run`, served as a fleet
         of one: a one-node ``round_robin``

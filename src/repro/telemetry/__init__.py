@@ -17,14 +17,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.telemetry.analysis import (PhaseBreakdown, TraceSummary,
-                                      diff_summaries, render_summary,
-                                      summarize_trace, validate_trace)
-from repro.telemetry.export import (prometheus_text, save_chrome,
-                                    to_chrome, validate_chrome)
-from repro.telemetry.tracer import (COUNTER, EVENT, FLEET_SIGNAL_FIELDS,
-                                    SPAN, TRACE_SCHEMA, NodeTracer, Trace,
-                                    TraceRecord, Tracer)
+from repro.telemetry.analysis import summarize_trace, validate_trace
+from repro.telemetry.export import to_chrome, validate_chrome
+from repro.telemetry.tracer import Tracer
 
 #: Environment variable examples/CI use to opt into tracing.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -51,10 +46,6 @@ def save_env_trace(tracer: Tracer | None) -> Path | None:
 
 
 __all__ = [
-    "COUNTER", "EVENT", "FLEET_SIGNAL_FIELDS", "SPAN", "TRACE_DIR_ENV",
-    "TRACE_SCHEMA", "NodeTracer", "PhaseBreakdown", "Trace",
-    "TraceRecord", "TraceSummary", "Tracer", "diff_summaries",
-    "prometheus_text", "render_summary", "save_chrome", "save_env_trace",
-    "summarize_trace", "to_chrome", "tracer_from_env", "validate_chrome",
-    "validate_trace",
+    "TRACE_DIR_ENV", "Tracer", "save_env_trace", "summarize_trace",
+    "to_chrome", "tracer_from_env", "validate_chrome", "validate_trace",
 ]

@@ -54,6 +54,7 @@ runs); ``qid`` links all records of one query's lifecycle.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,15 +122,17 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` streams for one run.
 
-    Components receive either a ``Tracer`` or a node-scoped view from
-    :meth:`bind` — both expose the same ``span``/``event``/``counter``
-    emission API, so instrumentation code never cares which it holds.
+    Components receive either a ``Tracer`` or a node-scoped view of one
+    from :meth:`bind`; both are tracers over the same record list, so
+    instrumentation code never cares which it holds.
     """
 
     def __init__(self, run_id: str = "", meta: dict | None = None) -> None:
         self.run_id = run_id
         self.meta = dict(meta) if meta else {}
         self.records: list[TraceRecord] = []
+        #: Node stamped on every record emitted without its own.
+        self.node = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -140,9 +143,12 @@ class Tracer:
         # ``tracer if tracer else None`` would silently drop it.
         return True
 
-    def bind(self, node: str) -> "NodeTracer":
-        """A view that stamps ``node`` on every record it emits."""
-        return NodeTracer(self, node)
+    def bind(self, node: str) -> "Tracer":
+        """A view over the same records that stamps ``node`` on every
+        record it emits without a node of its own."""
+        view = copy.copy(self)
+        view.node = node
+        return view
 
     # -- emission ------------------------------------------------------------
 
@@ -150,19 +156,21 @@ class Tracer:
              node: str = "", qid: int | None = None,
              args: dict | None = None) -> None:
         self.records.append(TraceRecord(
-            kind=SPAN, name=name, ts=ts, dur=dur, cat=cat, node=node,
-            qid=qid, args=args if args is not None else {}))
+            kind=SPAN, name=name, ts=ts, dur=dur, cat=cat,
+            node=node or self.node, qid=qid,
+            args=args if args is not None else {}))
 
     def event(self, name: str, ts: float, cat: str = "", node: str = "",
               qid: int | None = None, args: dict | None = None) -> None:
         self.records.append(TraceRecord(
-            kind=EVENT, name=name, ts=ts, cat=cat, node=node, qid=qid,
-            args=args if args is not None else {}))
+            kind=EVENT, name=name, ts=ts, cat=cat, node=node or self.node,
+            qid=qid, args=args if args is not None else {}))
 
     def counter(self, name: str, ts: float, values: dict,
                 node: str = "") -> None:
         self.records.append(TraceRecord(
-            kind=COUNTER, name=name, ts=ts, node=node, args=dict(values)))
+            kind=COUNTER, name=name, ts=ts, node=node or self.node,
+            args=dict(values)))
 
     # -- freezing ------------------------------------------------------------
 
@@ -173,39 +181,6 @@ class Tracer:
 
     def save(self, path: str | Path) -> Path:
         return self.trace().save(path)
-
-
-class NodeTracer:
-    """A node-scoped emission view over a shared :class:`Tracer`.
-
-    Engine and scheduler instrumentation holds one of these per fleet
-    member, so block spans and decision events land in the shared
-    stream already stamped with the node's name.
-    """
-
-    __slots__ = ("tracer", "node")
-
-    def __init__(self, tracer: Tracer, node: str) -> None:
-        self.tracer = tracer
-        self.node = node
-
-    def bind(self, node: str) -> "NodeTracer":
-        return NodeTracer(self.tracer, node)
-
-    def span(self, name: str, ts: float, dur: float, cat: str = "",
-             node: str = "", qid: int | None = None,
-             args: dict | None = None) -> None:
-        self.tracer.span(name, ts, dur, cat=cat, node=node or self.node,
-                         qid=qid, args=args)
-
-    def event(self, name: str, ts: float, cat: str = "", node: str = "",
-              qid: int | None = None, args: dict | None = None) -> None:
-        self.tracer.event(name, ts, cat=cat, node=node or self.node,
-                          qid=qid, args=args)
-
-    def counter(self, name: str, ts: float, values: dict,
-                node: str = "") -> None:
-        self.tracer.counter(name, ts, values, node=node or self.node)
 
 
 @dataclass

@@ -19,44 +19,11 @@ legacy :func:`repro.serving.workload.poisson_queries` stream draw for
 draw, so pre-scenario results stay bit-identical.
 """
 
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    TenantChurnArrivals,
-    UniformArrivals,
-)
-from repro.workloads.requests import (
-    ClosedLoopSpec,
-    ClosedLoopTenant,
-    PipelineQuery,
-    PipelineSpec,
-    RequestStream,
-    build_pipeline,
-)
-from repro.workloads.scenario import (
-    SCENARIO_NAMES,
-    ScenarioSpec,
-    get_scenario,
-    register_scenario,
-    resolve_scenario,
-    scenario_names,
-)
-from repro.workloads.trace import (
-    TRACE_SCHEMA,
-    ArrivalTrace,
-    record_trace,
-)
+from repro.workloads.requests import ClosedLoopSpec
+from repro.workloads.scenario import ScenarioSpec, get_scenario
+from repro.workloads.trace import ArrivalTrace, record_trace
 
 __all__ = [
-    "ArrivalProcess", "PoissonArrivals", "UniformArrivals",
-    "MMPPArrivals", "DiurnalArrivals", "FlashCrowdArrivals",
-    "TenantChurnArrivals",
-    "ScenarioSpec", "register_scenario", "get_scenario",
-    "resolve_scenario", "scenario_names", "SCENARIO_NAMES",
-    "ArrivalTrace", "record_trace", "TRACE_SCHEMA",
-    "ClosedLoopSpec", "ClosedLoopTenant", "PipelineQuery",
-    "PipelineSpec", "RequestStream", "build_pipeline",
+    "ScenarioSpec", "get_scenario", "ArrivalTrace", "record_trace",
+    "ClosedLoopSpec",
 ]

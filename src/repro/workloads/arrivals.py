@@ -262,7 +262,7 @@ class TenantChurnArrivals(ArrivalProcess):
     turnovers: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.mean_tenants < 1:
+        if not self.mean_tenants >= 1:
             raise ValueError("mean_tenants must be at least 1")
         if not self.turnovers > 0.0:
             raise ValueError("turnovers must be positive")

@@ -151,9 +151,9 @@ class ClosedLoopSpec:
     think_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.tenants < 1:
+        if not self.tenants >= 1:
             raise ValueError("tenants must be >= 1")
-        if self.concurrency < 1:
+        if not self.concurrency >= 1:
             raise ValueError("concurrency must be >= 1")
         if not self.think_s >= 0:
             raise ValueError("think_s must be >= 0")
@@ -176,9 +176,9 @@ class ClosedLoopTenant:
                  budget: int, concurrency: int,
                  think_s: float = 0.0, base_seed: int | None = None,
                  start_s: float = 0.0) -> None:
-        if budget < 1:
+        if not budget >= 1:
             raise ValueError("budget must be >= 1")
-        if concurrency < 1:
+        if not concurrency >= 1:
             raise ValueError("concurrency must be >= 1")
         self.session = session
         self.compiled = compiled

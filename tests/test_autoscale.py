@@ -4,7 +4,7 @@ node-seconds invariants the benchmark relies on."""
 
 import pytest
 
-from repro.cluster import (
+from repro.cluster.autoscale import (
     DRAIN,
     JOIN,
     PROVISION,
@@ -12,16 +12,16 @@ from repro.cluster import (
     RETIRED,
     AutoscaleController,
     AutoscalePolicy,
-    Cluster,
-    NodeSpec,
-    homogeneous,
-    make_router,
-    sweep_autoscale,
 )
+from repro.cluster.experiments import sweep_autoscale
+from repro.cluster.fleet import Cluster
+from repro.cluster.router import make_router
+from repro.cluster.spec import NodeSpec, homogeneous
 from repro.hardware.platform import THREADRIPPER_3990X
 from repro.serving.workload import WorkloadSpec, scenario_queries
-from repro.telemetry import Tracer
-from repro.workloads import ClosedLoopSpec, ScenarioSpec
+from repro.telemetry.tracer import Tracer
+from repro.workloads.requests import ClosedLoopSpec
+from repro.workloads.scenario import ScenarioSpec
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
@@ -313,7 +313,8 @@ class TestAutoscaleServe:
         assert point.scenario == "diurnal"
 
     def test_warming_node_reuses_compile_pass(self, light_stack):
-        builds_before = light_stack.artifact_builds
+        light_stack.ensure_compiled()
+        seen = light_stack.compiler.stats.layers_total
         policy = fast_policy(min_nodes=1, max_nodes=3)
         cluster = Cluster(light_stack, homogeneous(1),
                           router="pressure_aware", autoscale=policy)
@@ -321,7 +322,7 @@ class TestAutoscaleServe:
                                 scenario="flash_crowd")
         assert any(e.action == PROVISION
                    for e in report.scaling_timeline)
-        assert light_stack.artifact_builds == builds_before == 1
+        assert light_stack.compiler.stats.layers_total == seen
 
 
 class TestPlanCacheBound:

@@ -10,20 +10,23 @@ import json
 
 import pytest
 
-from repro.bench import (
-    BenchResult,
-    RESULT_SCHEMA,
+from repro.bench.compare import (
     Tolerance,
     compare_result,
+    load_baseline,
+    write_baseline,
+)
+from repro.bench.registry import select_benchmarks
+from repro.bench.results import (
+    RESULT_SCHEMA,
+    BenchResult,
     load_result,
-    select_benchmarks,
+    prune_orphans,
+    result_path,
     slugify,
     validate_payload,
-    write_baseline,
     write_result,
 )
-from repro.bench.compare import load_baseline
-from repro.bench.results import prune_orphans, result_path
 
 
 def make_result(name="demo", title="Demo: table", metrics=None,

@@ -10,16 +10,23 @@ clean — the checker is part of tier-1, like the ratchet.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.checks import (CheckConfig, HashRule, IterationRule, RngRule,
-                          SchemaRule, TracerRule, WallclockRule,
-                          all_rules, rule_by_name, run_checks,
+from repro.checks import (CheckConfig, all_rules, rule_by_name, run_checks,
                           update_snapshot)
 from repro.checks.__main__ import main as checks_main
+from repro.checks.hashing import HashRule
+from repro.checks.iteration import IterationRule
+from repro.checks.rng import RngRule
+from repro.checks.schema import SchemaRule
+from repro.checks.tracer import TracerRule
+from repro.checks.wallclock import WallclockRule
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "checks_fixtures"
@@ -225,6 +232,21 @@ class TestCli:
         out = capsys.readouterr().out
         for rule in all_rules():
             assert rule.name in out
+
+    def test_runs_without_numpy(self):
+        # CI's checks job installs nothing, so the checker, and every
+        # package it is imported through, must need only the stdlib.
+        script = ("import runpy, sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  "sys.argv = ['repro.checks', '--list']\n"
+                  "runpy.run_module('repro.checks', run_name='__main__',"
+                  " alter_sys=True)\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                                env=env, capture_output=True, text=True,
+                                timeout=60, check=False)
+        assert result.returncode == 0, result.stderr
+        assert "no-wallclock" in result.stdout
 
     @pytest.mark.parametrize("stem,rule_name", [
         ("wallclock", "no-wallclock"),

@@ -8,19 +8,12 @@ import zlib
 
 import pytest
 
-from repro.cluster import (
-    ROUTERS,
-    AdmissionPolicy,
-    AutoscalePolicy,
-    Cluster,
-    ClusterSpec,
-    NodeSpec,
-    cluster_capacity,
-    fleet_pressure,
-    homogeneous,
-    make_router,
-    mixed_fleet,
-)
+from repro.cluster.admission import AdmissionPolicy, fleet_pressure
+from repro.cluster.autoscale import AutoscalePolicy
+from repro.cluster.experiments import cluster_capacity
+from repro.cluster.fleet import Cluster
+from repro.cluster.router import ROUTERS, make_router
+from repro.cluster.spec import ClusterSpec, NodeSpec, homogeneous, mixed_fleet
 from repro.hardware.platform import (
     EDGE_NODE_32,
     PRODUCTION_SERVER_256,
@@ -29,12 +22,12 @@ from repro.hardware.platform import (
 from repro.runtime.engine import Engine
 from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.workload import WorkloadSpec, poisson_queries
-from repro.workloads import (
+from repro.workloads.requests import (
     ClosedLoopSpec,
     PipelineSpec,
     RequestStream,
-    ScenarioSpec,
 )
+from repro.workloads.scenario import ScenarioSpec
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
@@ -250,8 +243,10 @@ class TestClusterServe:
         spec = ClusterSpec(name="het", nodes=(
             NodeSpec(name="small", device=EDGE_NODE_32),
             NodeSpec(name="big", device=THREADRIPPER_3990X)))
+        light_stack.ensure_compiled()
+        seen = light_stack.compiler.stats.layers_total
         Cluster(light_stack, spec).report(MIX, qps=200, count=40, seed=3)
-        assert light_stack.artifact_builds == 1
+        assert light_stack.compiler.stats.layers_total == seen
         # Per-CPU runtimes are memoised and the reference CPU reuses the
         # stack's own cache; foreign CPUs get their own (prices are
         # bound to one cost model and cannot be shared across widths).

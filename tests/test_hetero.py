@@ -13,18 +13,13 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import (
-    Cluster,
-    ClusterSpec,
-    DeviceAffinityRouter,
-    NodeSpec,
-    hetero_fleet,
-    make_router,
-)
+from repro.cluster.fleet import Cluster
+from repro.cluster.router import DeviceAffinityRouter, make_router
+from repro.cluster.spec import ClusterSpec, NodeSpec, hetero_fleet
 from repro.compiler.artifacts import compiler_context, context_fingerprint
 from repro.compiler.costmodel import CostModel, CostModelParams
 from repro.compiler.multiversion import SinglePassCompiler
-from repro.hardware import (
+from repro.hardware.platform import (
     DATACENTER_ACCEL_80,
     EDGE_NODE_32,
     THREADRIPPER_3990X,
@@ -36,7 +31,7 @@ from repro.models.layers import Conv2D
 from repro.runtime.engine import Engine
 from repro.scheduling.gacer import GacerScheduler
 from repro.serving.workload import scenario_queries
-from repro.workloads import get_scenario
+from repro.workloads.scenario import get_scenario
 
 
 class TestDeviceSpecs:
@@ -195,10 +190,11 @@ class TestMixedFleetServing:
         ))
 
     def test_runtime_for_never_recompiles(self, hetero_stack):
-        before = hetero_stack.artifact_builds
+        hetero_stack.ensure_compiled()
+        seen = hetero_stack.compiler.stats.layers_total
         cpu_rt = hetero_stack.runtime_for(THREADRIPPER_3990X)
         accel_rt = hetero_stack.runtime_for(DATACENTER_ACCEL_80)
-        assert hetero_stack.artifact_builds == before == 1
+        assert hetero_stack.compiler.stats.layers_total == seen
         assert accel_rt is not cpu_rt
         assert accel_rt.device_kind == "accelerator"
         assert cpu_rt.device_kind == "cpu"
@@ -212,10 +208,12 @@ class TestMixedFleetServing:
                                                  small_fleet, scenario):
         queries = scenario_queries(hetero_stack.compiled, scenario,
                                    40.0, 60, seed=7)
+        hetero_stack.ensure_compiled()
+        seen = hetero_stack.compiler.stats.layers_total
         report = Cluster(hetero_stack, small_fleet,
                          router="device_affinity").serve(
             queries, offered_qps=40.0)
-        assert hetero_stack.artifact_builds == 1
+        assert hetero_stack.compiler.stats.layers_total == seen
         assert report.completed == 60
         assert sum(n.assigned for n in report.nodes) == 60
 

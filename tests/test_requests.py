@@ -15,34 +15,27 @@ import math
 
 import pytest
 
-from repro.cluster import (
-    AdmissionPolicy,
-    Cluster,
-    ClusterSpec,
-    NodeSpec,
-    homogeneous,
-)
+from repro.cluster.admission import AdmissionPolicy
+from repro.cluster.fleet import Cluster
+from repro.cluster.spec import ClusterSpec, NodeSpec, homogeneous
 from repro.hardware.platform import EDGE_NODE_32
 from repro.models.registry import get_entry
 from repro.parallel import fork_worker_pool
 from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.tasks import Query
 from repro.scheduling.base import build_profile
-from repro.serving import WorkloadSpec
 from repro.serving.server import ServingStack
-from repro.serving.workload import poisson_queries
-from repro.telemetry import Tracer, summarize_trace, validate_trace
-from repro.workloads import (
-    SCENARIO_NAMES,
-    ArrivalTrace,
+from repro.serving.workload import WorkloadSpec, poisson_queries
+from repro.telemetry.analysis import summarize_trace, validate_trace
+from repro.telemetry.tracer import Tracer
+from repro.workloads.requests import (
     ClosedLoopSpec,
     ClosedLoopTenant,
     PipelineSpec,
     RequestStream,
-    ScenarioSpec,
-    get_scenario,
-    record_trace,
 )
+from repro.workloads.scenario import SCENARIO_NAMES, ScenarioSpec, get_scenario
+from repro.workloads.trace import ArrivalTrace, record_trace
 
 _MIX = WorkloadSpec(name="req-mix", entries=(("mobilenet_v2", 2.0),
                                              ("googlenet", 1.0)))

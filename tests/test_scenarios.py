@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, homogeneous
+from repro.cluster.fleet import Cluster
+from repro.cluster.spec import homogeneous
 from repro.config import make_rng
 from repro.serving.experiments import capacity, sweep_qps
 from repro.serving.metrics import summarize
@@ -25,22 +26,26 @@ from repro.serving.workload import (
     scenario_queries,
     uniform_queries,
 )
-from repro.workloads import (
-    TRACE_SCHEMA,
-    ArrivalTrace,
+from repro.workloads.arrivals import (
     DiurnalArrivals,
     FlashCrowdArrivals,
     MMPPArrivals,
     PoissonArrivals,
-    ScenarioSpec,
     TenantChurnArrivals,
     UniformArrivals,
+)
+from repro.workloads.scenario import (
+    ScenarioSpec,
     get_scenario,
-    record_trace,
     register_scenario,
     scenario_names,
 )
-from repro.workloads.trace import TraceEntry
+from repro.workloads.trace import (
+    TRACE_SCHEMA,
+    ArrivalTrace,
+    TraceEntry,
+    record_trace,
+)
 
 _SPEC = WorkloadSpec(name="pair", entries=(("mobilenet_v2", 2.0),
                                            ("googlenet", 1.0)))

@@ -7,33 +7,25 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.cluster import Cluster, homogeneous
 from repro.cluster.autoscale import AutoscalePolicy
-from repro.cluster.spec import NodeSpec
+from repro.cluster.fleet import Cluster
+from repro.cluster.spec import NodeSpec, homogeneous
 from repro.hardware.platform import THREADRIPPER_3990X
 from repro.runtime.engine import Engine, SimulationMetrics
 from repro.runtime.pricing import PricingCache
-from repro.serving.metrics import (
-    max_qps_at_satisfaction,
-    summarize,
-)
+from repro.serving.metrics import max_qps_at_satisfaction, summarize
 from repro.serving.workload import WorkloadSpec, poisson_queries
-from repro.telemetry import (
-    TRACE_DIR_ENV,
-    TRACE_SCHEMA,
+from repro.telemetry import TRACE_DIR_ENV, save_env_trace, tracer_from_env
+from repro.telemetry.__main__ import main as telemetry_cli
+from repro.telemetry.analysis import summarize_trace, validate_trace
+from repro.telemetry.export import prometheus_text, to_chrome, validate_chrome
+from repro.telemetry.tracer import (
     FLEET_SIGNAL_FIELDS,
+    TRACE_SCHEMA,
     Trace,
     TraceRecord,
     Tracer,
-    prometheus_text,
-    save_env_trace,
-    summarize_trace,
-    to_chrome,
-    tracer_from_env,
-    validate_chrome,
-    validate_trace,
 )
-from repro.telemetry.__main__ import main as telemetry_cli
 
 MIX = WorkloadSpec(name="mix2", entries=(("mobilenet_v2", 1.0),
                                          ("googlenet", 1.0)))
