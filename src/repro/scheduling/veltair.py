@@ -3,10 +3,14 @@
 Dynamic layer blocks (Alg. 2, inherited) combined with adaptive code
 version selection: at every dispatch the scheduler estimates the system
 interference pressure — through the linear performance-counter proxy of
-Sec. 4.3, or directly from the simulator state in oracle mode — ignores
-soon-to-finish blocks, picks each layer's version for that pressure
-level, and sizes the block's core grant with the interference-adjusted
-requirements.
+Sec. 4.3, or directly from the simulator state in oracle mode — picks
+each layer's version for that pressure level, and sizes the block's core
+grant with the interference-adjusted requirements.
+
+The soon-to-finish filter of Sec. 4.3 applies only to the oracle
+estimate (:meth:`Engine.pressure`, used without a proxy).  With a proxy,
+the default, the estimate reads the chip-wide counters, which sum every
+running block, soon-to-finish ones included.
 """
 
 from __future__ import annotations

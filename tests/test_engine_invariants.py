@@ -10,22 +10,38 @@ These tests pin the hot-path rework's contract:
 * the shared pricing cache holds one price table per block shape and
   eliminates repeat cost-model pricing across runs without affecting
   results;
+* the engine's stored counter-proxy estimate always equals a fresh
+  one, and a fleet computes it about once per counter change;
 * compiled artifacts are bit-reproducible across processes (the
   ``hash()``-seeded search regression).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.interference.proxy import estimate_system_pressure
-from repro.runtime.engine import Engine
+from repro.cluster.admission import AdmissionController, AdmissionPolicy
+from repro.cluster.fleet import Cluster
+from repro.cluster.router import PressureAwareRouter
+from repro.cluster.spec import homogeneous
+from repro.interference.proxy import (
+    LinearInterferenceProxy,
+    estimate_system_pressure,
+)
+from repro.runtime.engine import BatchPolicy, Engine
 from repro.runtime.pricing import PricingCache
+from repro.scheduling.base import SpatialScheduler
+from repro.scheduling.layerwise import AdaptiveCompilationOnly
+from repro.scheduling.veltair import VeltairScheduler
 from repro.serving.experiments import capacity, sweep_qps
 from repro.serving.metrics import summarize
 from repro.serving.workload import WorkloadSpec, poisson_queries
@@ -277,6 +293,150 @@ class TestIdleEngine:
         nonzero = [reading for reading in readings if reading != 0.0]
         assert not nonzero, (f"{len(nonzero)} of {len(readings)} idle "
                              f"readings nonzero, max {max(nonzero)}")
+
+
+def _fresh_estimate(engine, proxy) -> float:
+    """The counter-proxy estimate computed from the counters now."""
+    miss_rate, accesses = engine.system_counters()
+    return proxy.predict(miss_rate, accesses) if accesses > 0.0 else 0.0
+
+
+class _EstimateAudit:
+    """Compares stored counter estimates with fresh ones.
+
+    :meth:`patched` wraps every point where a policy, the router or
+    admission reads the estimate: each scheduling round and plan of a
+    node, and each admission and routing decision of a fleet.  A check
+    also reads a second proxy object on the same engine, then reads the
+    first again, so the first proxy's pair is the one stored when the
+    counters next move.
+    """
+
+    def __init__(self) -> None:
+        self.checks = {"schedule": 0, "plan": 0, "admission": 0,
+                       "route": 0}
+        #: Checks where the second proxy's estimate differs from the
+        #: first's, so reading the wrong pair would have shown.
+        self.distinct = 0
+
+    def check(self, site: str, engine, proxy) -> None:
+        stored = estimate_system_pressure(engine, proxy)
+        assert stored.hex() == _fresh_estimate(engine, proxy).hex(), site
+        other = dataclasses.replace(proxy, bias=proxy.bias + 0.1)
+        theirs = estimate_system_pressure(engine, other)
+        assert theirs.hex() == _fresh_estimate(engine, other).hex(), site
+        assert estimate_system_pressure(engine, proxy) == stored
+        self.checks[site] += 1
+        self.distinct += theirs != stored
+
+    def patched(self):
+        audit = self
+        schedule = SpatialScheduler.schedule
+        decide = AdmissionController.decide
+        choose = PressureAwareRouter.choose
+
+        def checked_schedule(scheduler, engine):
+            audit.check("schedule", engine, scheduler.proxy)
+            schedule(scheduler, engine)
+
+        def checked_planning(cls):
+            planning_pressure = cls.planning_pressure
+
+            def checked(scheduler, engine):
+                audit.check("plan", engine, scheduler.proxy)
+                return planning_pressure(scheduler, engine)
+            return mock.patch.object(cls, "planning_pressure", checked)
+
+        def checked_decide(controller, nodes, query, attempts):
+            for node in nodes:
+                audit.check("admission", node.engine, node.runtime.proxy)
+            return decide(controller, nodes, query, attempts)
+
+        def checked_choose(router, nodes, query, now):
+            for node in nodes:
+                audit.check("route", node.engine, node.runtime.proxy)
+            return choose(router, nodes, query, now)
+
+        stack = contextlib.ExitStack()
+        stack.enter_context(mock.patch.object(
+            SpatialScheduler, "schedule", checked_schedule))
+        stack.enter_context(checked_planning(VeltairScheduler))
+        stack.enter_context(checked_planning(AdaptiveCompilationOnly))
+        stack.enter_context(mock.patch.object(
+            AdmissionController, "decide", checked_decide))
+        stack.enter_context(mock.patch.object(
+            PressureAwareRouter, "choose", checked_choose))
+        return stack
+
+
+class TestCounterEstimate:
+    """The engine keeps the counter-proxy estimate until its counters
+    move; every reader must still see the value the proxy gives now."""
+
+    @given(policy=st.sampled_from(["veltair_full", "veltair_ac"]),
+           batching=st.sampled_from([None, BatchPolicy(),
+                                     BatchPolicy(max_batch=2,
+                                                 max_wait_s=0.004)]),
+           qps=st.floats(100.0, 900.0),
+           count=st.integers(10, 60),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_node_estimate_never_stale(self, light_stack, policy, batching,
+                                       qps, count, seed):
+        audit = _EstimateAudit()
+        engine = Engine(light_stack.cost_model,
+                        price_cache=light_stack.price_cache,
+                        batching=batching)
+        queries = poisson_queries(light_stack.compiled, DUO_SPEC, qps,
+                                  count, seed=seed)
+        with audit.patched():
+            completed = engine.run(queries,
+                                   light_stack.make_scheduler(policy))
+        assert len(completed) == count
+        assert audit.checks["schedule"] > 0 and audit.checks["plan"] > 0
+        assert audit.distinct > 0
+
+    @given(qps=st.floats(300.0, 2400.0),
+           count=st.integers(10, 60),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_fleet_estimate_never_stale(self, light_stack, qps, count,
+                                        seed):
+        audit = _EstimateAudit()
+        cluster = Cluster(light_stack, homogeneous(3),
+                          router="pressure_aware",
+                          admission=AdmissionPolicy())
+        queries = poisson_queries(light_stack.compiled, DUO_SPEC, qps,
+                                  count, seed=seed)
+        with audit.patched():
+            report = cluster.serve(queries)
+        assert report.offered == count
+        assert audit.checks["admission"] > 0 and audit.checks["route"] > 0
+        assert audit.checks["plan"] > 0
+        assert audit.distinct > 0
+
+    def test_fleet_computes_per_counter_change(self, light_stack):
+        """A counted bound: proxy computations per offered query on a
+        4-node ``pressure_aware`` fleet with shed admission.  Recomputing
+        on every read costs 12.04 here (each offer reads all four nodes
+        twice, and each plan once); the stored estimate costs 6.5."""
+        calls = []
+        predict = LinearInterferenceProxy.predict
+
+        def counting(proxy, miss_rate, accesses):
+            calls.append(None)
+            return predict(proxy, miss_rate, accesses)
+
+        cluster = Cluster(light_stack, homogeneous(4),
+                          router="pressure_aware",
+                          admission=AdmissionPolicy())
+        queries = poisson_queries(light_stack.compiled, DUO_SPEC, 700, 200,
+                                  seed=5)
+        with mock.patch.object(LinearInterferenceProxy, "predict",
+                               counting):
+            report = cluster.serve(queries)
+        assert report.offered == 200 and report.shed == 0
+        assert len(calls) / report.offered <= 7.0
 
 
 class TestSweepQps:
